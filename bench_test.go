@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -50,8 +49,7 @@ func BenchmarkE1_DifferentialReachability(b *testing.B) {
 		diffs := DifferentialReachability(good, bad)
 		lost := 0
 		for _, d := range diffs {
-			if (d.Src == "r3" || d.Src == "r4") && strings.Contains(d.Before, "Delivered") &&
-				!strings.Contains(d.After, "Delivered") {
+			if (d.Src == "r3" || d.Src == "r4") && d.Lost() {
 				lost++
 			}
 		}
@@ -273,7 +271,7 @@ func BenchmarkAblation_ECvsEnumeration(b *testing.B) {
 			found := 0
 			for _, src := range srcs {
 				for _, p := range probes {
-					if good.Network.Trace(src, p).Outcome() != bad.Network.Trace(src, p).Outcome() {
+					if good.Network.Trace(src, p).Outcome().String() != bad.Network.Trace(src, p).Outcome().String() {
 						found++
 					}
 				}

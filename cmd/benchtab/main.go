@@ -87,7 +87,7 @@ func e1(bool) error {
 	for _, d := range diffs {
 		if (d.Src == "r3" || d.Src == "r4") &&
 			(d.Dst == netip.MustParseAddr("2.2.2.1") || d.Dst == netip.MustParseAddr("2.2.2.2")) &&
-			strings.Contains(d.Before, "Delivered") && !strings.Contains(d.After, "Delivered") {
+			d.Lost() {
 			as3LostAS2++
 		}
 	}

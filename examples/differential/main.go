@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"mfv"
 )
@@ -35,7 +34,7 @@ func main() {
 	// Summarize per source router, highlighting lost deliveries.
 	lostBySrc := map[string]int{}
 	for _, d := range diffs {
-		if strings.Contains(d.Before, "Delivered") && !strings.Contains(d.After, "Delivered") {
+		if d.Lost() {
 			lostBySrc[d.Src]++
 		}
 	}
@@ -48,7 +47,7 @@ func main() {
 	fmt.Println("\nsample findings:")
 	shown := 0
 	for _, d := range diffs {
-		if strings.Contains(d.Before, "Delivered") && !strings.Contains(d.After, "Delivered") {
+		if d.Lost() {
 			fmt.Printf("  %s\n", d)
 			shown++
 			if shown == 8 {

@@ -59,7 +59,7 @@ func TestE1DifferentialFindsASLoss(t *testing.T) {
 	// AS3 (r3, r4) must lose the AS2 loopbacks (2.2.2.1, 2.2.2.2).
 	lost := map[string]bool{}
 	for _, d := range diffs {
-		if strings.Contains(d.Before, "Delivered") && !strings.Contains(d.After, "Delivered") {
+		if d.Lost() {
 			for j := 1; j <= 6; j++ {
 				lo := testnet.Fig2Loopback(fmt.Sprintf("r%d", j))
 				if d.Dst == lo {
@@ -145,7 +145,7 @@ func TestE3ModelGap(t *testing.T) {
 	for _, d := range diffs {
 		if d.Src == "r2" && d.Dst == addr("2.2.2.1") {
 			found = true
-			if strings.Contains(d.Before, "Delivered") || !strings.Contains(d.After, "Delivered") {
+			if d.Before.Has(verify.Delivered) || !d.After.Has(verify.Delivered) {
 				t.Errorf("diff direction wrong: %v", d)
 			}
 		}

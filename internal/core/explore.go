@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 	"time"
 
 	"mfv/internal/topology"
@@ -55,7 +54,7 @@ func ExploreSingleLinkFailures(snap Snapshot, opts Options) ([]FailureFinding, e
 		diffs := Differential(baseline, res)
 		finding := FailureFinding{Cut: cut, Diffs: diffs}
 		for _, d := range diffs {
-			if deliveredIn(d.Before) && !deliveredIn(d.After) {
+			if d.Lost() {
 				finding.LostFlows++
 			}
 		}
@@ -64,8 +63,6 @@ func ExploreSingleLinkFailures(snap Snapshot, opts Options) ([]FailureFinding, e
 	sort.Slice(out, func(i, j int) bool { return out[i].Cut.String() < out[j].Cut.String() })
 	return out, nil
 }
-
-func deliveredIn(outcome string) bool { return strings.Contains(outcome, "Delivered") }
 
 // SurvivesAnySingleLinkCut reports whether every single-link-cut context
 // keeps all previously delivered flows delivered, with the list of

@@ -143,7 +143,7 @@ func DiffStamps(a, b map[string]kne.GenStamp) []string {
 func LostFlows(diffs []verify.Diff) map[string]bool {
 	out := map[string]bool{}
 	for _, d := range diffs {
-		if verify.OutcomeDelivered(d.Before) && !verify.OutcomeDelivered(d.After) {
+		if d.Lost() {
 			out[d.Src+">"+d.Dst.String()] = true
 		}
 	}

@@ -1,9 +1,10 @@
 package verify
 
 import (
+	"cmp"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,14 +17,17 @@ import (
 // (AllPairs, Differential, DetectLoops, DetectBlackHoles) all reduce to the
 // same shape — evaluate every (source, equivalence-class) flow over an
 // immutable Network — so they share one worker pool that shards flows by
-// destination class and one per-device memoization layer that computes
-// shared path suffixes once instead of once per source.
+// destination class and one solver, solve, that computes each class's
+// outcomes component by component, sharing path suffixes between sources.
 //
 // Determinism contract: results are merged by stable flow key, so output is
-// byte-identical regardless of worker count. Outcome fragments are exact
-// (the solver never truncates), whereas path enumeration via Trace caps at
-// maxBranches and flags Trace.Truncated; the two agree whenever no trace is
-// truncated, which the memoization quickcheck asserts on random networks.
+// byte-identical regardless of worker count. In a component of fewer than
+// maxPathHops devices the memoized solver's outcomes are exact (it never
+// truncates), whereas path enumeration via Trace caps at maxBranches and
+// flags Trace.Truncated; the two agree whenever no trace is truncated, which
+// the memoization quickcheck asserts on random networks. A component of
+// maxPathHops or more devices takes the Trace walk itself, so its outcomes
+// carry the same caps.
 
 // Queries configures the batch engine. The zero value runs with
 // runtime.GOMAXPROCS(0) workers.
@@ -70,35 +74,18 @@ func (q Queries) run(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// outcomeSet is the canonical forwarding outcome of one (device, class)
-// flow: the sorted set of "Disposition@final" fragments, matching
-// Trace.Outcome exactly.
-type outcomeSet struct {
-	canon string
-	frags []string
-}
+// dstOutcomes maps solved devices to their outcome for one destination
+// class.
+type dstOutcomes map[string]Outcome
 
-// has reports whether any fragment carries the given disposition prefix
-// (e.g. "Loop@", "Delivered@").
-func (o outcomeSet) has(prefix string) bool {
-	for _, f := range o.frags {
-		if strings.HasPrefix(f, prefix) {
-			return true
-		}
+// outcome returns src's outcome, falling back to the NoRoute self-outcome
+// Trace produces for a device that was not solved: one without forwarding
+// state, or in a component whose FIBs do not cover the class.
+func (m dstOutcomes) outcome(src string) Outcome {
+	if o, ok := m[src]; ok {
+		return o
 	}
-	return false
-}
-
-// dstOutcomes maps every device to its outcome for one destination class.
-type dstOutcomes map[string]outcomeSet
-
-// outcome returns the canonical outcome for src, falling back to the
-// NoRoute self-outcome Trace produces for devices without forwarding state.
-func (m dstOutcomes) outcome(src string) string {
-	if o, ok := m[src]; ok && o.canon != "" {
-		return o.canon
-	}
-	return NoRoute.String() + "@" + src
+	return Outcome{{Disp: NoRoute, Device: src}}
 }
 
 // outcomesFor returns (computing and memoizing on first use) the per-device
@@ -114,19 +101,7 @@ func (n *Network) outcomesFor(dst netip.Addr) dstOutcomes {
 	}
 	n.memoMu.Unlock()
 
-	var m dstOutcomes
-	if comps := n.components(); len(comps) > 1 {
-		// Region-sharded topologies: solve component-by-component. Walks
-		// cannot cross components, so this is exact, and the maxPathHops
-		// solver cutoff applies to each piece instead of the whole network.
-		m = n.outcomesByComponent(dst, comps)
-	} else if len(n.devices) >= maxPathHops {
-		// Simple paths can reach the walk's depth cap: defer to the exact
-		// legacy enumeration per device so depth truncation semantics match.
-		m = n.outcomesByTrace(dst)
-	} else {
-		m = n.solveOutcomes(dst)
-	}
+	m := n.solve(dst, nil)
 
 	n.memoMu.Lock()
 	if prior, ok := n.memo[dst]; ok {
@@ -141,113 +116,91 @@ func (n *Network) outcomesFor(dst netip.Addr) dstOutcomes {
 	return m
 }
 
-// traceOutcome computes one device's canonical outcome via the exact path
-// walk (no suffix sharing).
-func (n *Network) traceOutcome(name string, dst netip.Addr) outcomeSet {
-	t := n.Trace(name, dst)
-	set := map[string]bool{}
-	for _, p := range t.Paths {
-		set[p.Disposition.String()+"@"+p.Final] = true
-	}
-	frags := make([]string, 0, len(set))
-	for f := range set {
-		frags = append(frags, f)
-	}
-	sort.Strings(frags)
-	return outcomeSet{canon: strings.Join(frags, ","), frags: frags}
-}
-
-// outcomesByTrace is the fallback for very deep networks: one full
-// enumeration per device, no suffix sharing.
-func (n *Network) outcomesByTrace(dst netip.Addr) dstOutcomes {
-	out := make(dstOutcomes, len(n.devices))
-	for name := range n.devices {
-		out[name] = n.traceOutcome(name, dst)
-		n.cMemoMisses.Inc()
-	}
-	return out
-}
-
-// outcomesByComponent solves each connected component independently,
-// skipping components whose FIBs cannot match dst at all — their members'
-// outcomes are exactly the NoRoute self-fallback dstOutcomes.outcome
-// supplies, so leaving them out of the map keeps per-class memory
-// proportional to the relevant region, not the network.
-func (n *Network) outcomesByComponent(dst netip.Addr, comps []*component) dstOutcomes {
+// solve computes the outcomes toward dst of the devices in roots (nil means
+// every device), one connected component at a time. Walks cannot cross a
+// component, so this is exact, and a component whose FIBs cannot match dst
+// is skipped: its members' outcomes are the NoRoute self-fallback of
+// dstOutcomes.outcome, which keeps per-class memory proportional to the
+// relevant region. Below maxPathHops devices a component runs the memoized
+// solver; from maxPathHops on, a simple path can reach the walk's TTL cap,
+// so each root takes the capped Trace walk instead and the two never
+// disagree on where a long path ends.
+func (n *Network) solve(dst netip.Addr, roots map[string]bool) dstOutcomes {
 	out := dstOutcomes{}
 	a := addrU32(dst)
-	for _, c := range comps {
+	for _, c := range n.components() {
 		if !c.covers(a) {
 			continue
 		}
-		if len(c.names) >= maxPathHops {
-			for _, name := range c.names {
-				out[name] = n.traceOutcome(name, dst)
-				n.cMemoMisses.Inc()
-			}
-			continue
+		var s *solver
+		if len(c.names) < maxPathHops {
+			s = &solver{n: n, dst: dst, frag: map[string]Outcome{}, stack: map[string]bool{}}
 		}
-		s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
 		for _, name := range c.names {
-			f, _ := s.visit(n.devices[name])
-			out[name] = outcomeSet{canon: strings.Join(f, ","), frags: f}
+			if roots != nil && !roots[name] {
+				continue
+			}
+			if s == nil {
+				out[name] = n.Trace(name, dst).Outcome()
+				n.cMemoMisses.Inc()
+				continue
+			}
+			out[name], _ = s.visit(n.devices[name])
 		}
-		n.cMemoHits.Add(s.hits)
-		n.cMemoMisses.Add(s.misses)
+		if s != nil {
+			n.cMemoHits.Add(s.hits)
+			n.cMemoMisses.Add(s.misses)
+		}
 	}
 	return out
 }
 
-// solver computes outcome fragments for every device toward one destination
-// with per-device memoization. A device's fragment set is cached only when
-// its exploration saw no back edge ("clean"): such a set is the closure of
-// an acyclic region, so no future entry path can intersect it and the set
-// is context-free. Loop fragments are labeled with the first revisited
-// device, which depends on the entry point, so loopy regions are recomputed
-// per source — exactly matching the sequential walk's semantics.
+// solver computes outcomes for every device toward one destination with
+// per-device memoization. A device's outcome is cached only when its
+// exploration saw no back edge ("clean"): such a set is the closure of an
+// acyclic region, so no future entry path can intersect it and the set is
+// context-free. Loop fragments are labeled with the first revisited device,
+// which depends on the entry point, so loopy regions are recomputed per
+// source — exactly matching the sequential walk's semantics.
 type solver struct {
 	n            *Network
 	dst          netip.Addr
-	frag         map[string][]string // device -> cached clean fragments
-	stack        map[string]bool     // devices on the current DFS path
+	frag         map[string]Outcome // device -> cached clean outcome
+	stack        map[string]bool    // devices on the current DFS path
 	hits, misses uint64
 }
 
-// visit returns the fragment set reachable from d and whether the
-// exploration was clean (saw no back edge anywhere in the subtree).
-func (s *solver) visit(d *device) ([]string, bool) {
+// visit returns the outcome reachable from d and whether the exploration was
+// clean (saw no back edge anywhere in the subtree).
+func (s *solver) visit(d *device) (Outcome, bool) {
 	if f, ok := s.frag[d.name]; ok {
 		s.hits++
 		return f, true
 	}
 	if s.stack[d.name] {
-		return []string{Loop.String() + "@" + d.name}, false
+		return Outcome{{Disp: Loop, Device: d.name}}, false
 	}
 	s.misses++
 	_, entry, ok := d.fib.Lookup(s.dst)
 	if !ok {
-		f := []string{NoRoute.String() + "@" + d.name}
+		f := Outcome{{Disp: NoRoute, Device: d.name}}
 		s.frag[d.name] = f
 		return f, true
 	}
 	s.stack[d.name] = true
 	clean := true
-	var acc []string
+	var acc Outcome
 	for _, h := range entry.hops {
 		switch {
 		case h.Receive:
-			acc = append(acc, Delivered.String()+"@"+d.name)
+			acc = append(acc, Fragment{Disp: Delivered, Device: d.name})
 		case h.Drop:
-			acc = append(acc, Dropped.String()+"@"+d.name)
+			acc = append(acc, Fragment{Disp: Dropped, Device: d.name})
 		default:
 			peer, wired := s.n.peerOf[topology.Endpoint{Node: d.name, Interface: h.Interface}]
-			if !wired {
-				acc = append(acc, ExitsNetwork.String()+"@"+d.name)
-				continue
-			}
 			next, ok := s.n.devices[peer.Node]
-			if !ok {
-				acc = append(acc, ExitsNetwork.String()+"@"+d.name)
+			if !wired || !ok {
+				acc = append(acc, Fragment{Disp: ExitsNetwork, Device: d.name})
 				continue
 			}
 			sub, subClean := s.visit(next)
@@ -256,117 +209,78 @@ func (s *solver) visit(d *device) ([]string, bool) {
 		}
 	}
 	delete(s.stack, d.name)
-	acc = sortDedupe(acc)
+	acc = canonical(acc)
 	if clean {
 		s.frag[d.name] = acc
 	}
 	return acc, clean
 }
 
-// solveOutcomes runs the memoized solver from every device toward dst.
-func (n *Network) solveOutcomes(dst netip.Addr) dstOutcomes {
-	s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
-	roots := make(map[string][]string, len(n.devices))
-	for name, d := range n.devices {
-		f, _ := s.visit(d)
-		roots[name] = f
-	}
-	out := make(dstOutcomes, len(roots))
-	for name, frags := range roots {
-		out[name] = outcomeSet{canon: strings.Join(frags, ","), frags: frags}
-	}
-	n.cMemoHits.Add(s.hits)
-	n.cMemoMisses.Add(s.misses)
-	return out
-}
-
-func sortDedupe(in []string) []string {
-	if len(in) < 2 {
-		return in
-	}
-	sort.Strings(in)
-	out := in[:1]
-	for _, v := range in[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // unionAddrs merges sorted address slices into one sorted, deduplicated
 // slice.
 func unionAddrs(a, b []netip.Addr) []netip.Addr {
-	out := make([]netip.Addr, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	out := append(append([]netip.Addr{}, a...), b...)
+	slices.SortFunc(out, netip.Addr.Compare)
+	return slices.Compact(out)
 }
 
 func unionStrings(a, b []string) []string {
 	out := append(append([]string{}, a...), b...)
-	return sortDedupe(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Differential runs the differential-reachability query over the pool:
-// flows are sharded by destination class, each class evaluates every source
-// against both snapshots' memoized outcomes, and the merged result is
-// sorted by (source, class) — the exact order the sequential implementation
-// produced.
+// Differential runs the differential-reachability query over the pool: each
+// destination class compares every solved source's memoized outcomes.
 func (q Queries) Differential(before, after *Network) []Diff {
+	sources := len(unionStrings(before.Devices(), after.Devices()))
+	return q.differential(before, after, func(rep netip.Addr) []Diff {
+		before.gInflight.Add(int64(sources))
+		defer before.gInflight.Add(-int64(sources))
+		defer before.cFlows.Add(uint64(sources))
+		return diffOutcomes(rep, before.outcomesFor(rep), after.outcomesFor(rep))
+	})
+}
+
+// differential is the driver Differential and DeltaDifferential share: flows
+// are sharded by destination class, each class yields its diffs through
+// perClass, and the merged result is sorted by (source, class), the exact
+// order the sequential implementation produced.
+func (q Queries) differential(before, after *Network, perClass func(rep netip.Addr) []Diff) []Diff {
 	defer before.observeWall("differential", time.Now())
 	before.cQueries.Inc()
 	classes := unionAddrs(before.EquivalenceClasses(), after.EquivalenceClasses())
-	sources := unionStrings(before.Devices(), after.Devices())
-
 	results := make([][]Diff, len(classes))
-	q.run(len(classes), func(i int) {
-		rep := classes[i]
-		before.gInflight.Add(int64(len(sources)))
-		defer before.gInflight.Add(-int64(len(sources)))
-		ob := before.outcomesFor(rep)
-		oa := after.outcomesFor(rep)
-		// Sources absent from both outcome maps share the NoRoute
-		// self-fallback on both sides and can never differ, so the scan
-		// covers only the solved devices — at 10k region-sharded routers
-		// that is the relevant region, not the whole fleet. The final sort
-		// below restores the sequential (source, class) output order.
-		var ds []Diff
-		for src, o := range ob {
-			if b := oa.outcome(src); o.canon != b {
-				ds = append(ds, Diff{Src: src, Dst: rep, Before: o.canon, After: b})
-			}
-		}
-		for src, o := range oa {
-			if _, ok := ob[src]; ok {
-				continue
-			}
-			if a := ob.outcome(src); a != o.canon {
-				ds = append(ds, Diff{Src: src, Dst: rep, Before: a, After: o.canon})
-			}
-		}
-		before.cFlows.Add(uint64(len(sources)))
-		results[i] = ds
-	})
-
+	q.run(len(classes), func(i int) { results[i] = perClass(classes[i]) })
 	var out []Diff
 	for _, ds := range results {
 		out = append(out, ds...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst.Less(out[j].Dst)
+	slices.SortFunc(out, func(a, b Diff) int {
+		return cmp.Or(strings.Compare(a.Src, b.Src), a.Dst.Compare(b.Dst))
 	})
 	return out
+}
+
+// diffOutcomes compares one class's outcomes in two snapshots. Sources
+// absent from both maps share the NoRoute self-fallback on both sides and
+// can never differ, so the scan covers only the solved devices — at 10k
+// region-sharded routers that is the relevant region, not the whole fleet.
+func diffOutcomes(rep netip.Addr, before, after dstOutcomes) []Diff {
+	var ds []Diff
+	for src, b := range before {
+		if a := after.outcome(src); !slices.Equal(b, a) {
+			ds = append(ds, Diff{Src: src, Dst: rep, Before: b, After: a})
+		}
+	}
+	for src, a := range after {
+		if _, ok := before[src]; !ok {
+			if b := before.outcome(src); !slices.Equal(b, a) {
+				ds = append(ds, Diff{Src: src, Dst: rep, Before: b, After: a})
+			}
+		}
+	}
+	return ds
 }
 
 // AllPairs computes the reachability matrix over the pool, sharded by
@@ -386,9 +300,7 @@ func (q Queries) AllPairs(n *Network) ReachMatrix {
 		oc := n.outcomesFor(m.Dsts[i])
 		col := make([]bool, len(m.Sources))
 		for j, src := range m.Sources {
-			if o, ok := oc[src]; ok {
-				col[j] = o.has("Delivered@")
-			}
+			col[j] = oc[src].Has(Delivered)
 		}
 		cols[i] = col
 		n.cFlows.Add(uint64(len(m.Sources)))
@@ -421,7 +333,7 @@ func (q Queries) DetectLoops(n *Network) []LoopReport {
 		n.cFlows.Add(uint64(len(sources)))
 		var reports []LoopReport
 		for _, src := range sources {
-			if o, ok := oc[src]; !ok || !o.has("Loop@") {
+			if !oc[src].Has(Loop) {
 				continue
 			}
 			t := n.Trace(src, rep)
@@ -465,7 +377,7 @@ func (q Queries) DetectBlackHoles(n *Network) []BlackHole {
 				holes = append(holes, BlackHole{Dst: rep, Src: src, Disposition: NoRoute})
 				continue
 			}
-			if !o.has("Dropped@") && !o.has("NoRoute@") {
+			if !o.Has(Dropped) && !o.Has(NoRoute) {
 				continue
 			}
 			t := n.Trace(src, rep)

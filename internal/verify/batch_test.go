@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mfv/internal/aft"
@@ -133,7 +134,7 @@ func TestBatchDifferentialMatchesSequentialOrder(t *testing.T) {
 		for _, rep := range unionAddrs(before.EquivalenceClasses(), after.EquivalenceClasses()) {
 			a := before.Trace(src, rep).Outcome()
 			b := after.Trace(src, rep).Outcome()
-			if a != b {
+			if !slices.Equal(a, b) {
 				want = append(want, Diff{Src: src, Dst: rep, Before: a, After: b})
 			}
 		}
@@ -240,7 +241,7 @@ func TestSolverLoopLabelsAreEntryRelative(t *testing.T) {
 	dst := addr("9.1.1.1")
 	oc := n.outcomesFor(dst)
 	for _, src := range n.Devices() {
-		if got, want := oc.outcome(src), n.Trace(src, dst).Outcome(); got != want {
+		if got, want := oc.outcome(src).String(), n.Trace(src, dst).Outcome().String(); got != want {
 			t.Errorf("memoized outcome from %s = %q, trace says %q", src, got, want)
 		}
 	}

@@ -2,9 +2,6 @@ package verify
 
 import (
 	"net/netip"
-	"sort"
-	"strings"
-	"time"
 
 	"mfv/internal/topology"
 )
@@ -29,19 +26,18 @@ import (
 //     of both snapshots' one-step forwarding edges; untainted sources walk
 //     an identical subgraph in both snapshots and are skipped.
 //
-// The surviving (tainted source, changed class) flows are evaluated with
-// the same memoized solver semantics as the full query and merged in the
-// same (source, class) order, so the result is byte-identical to
-// Queries.Differential whenever dirty covers every changed device.
+// The surviving (tainted source, changed class) flows are evaluated by the
+// same solve the full query memoizes, restricted to the tainted sources, and
+// merged by the same driver in the same (source, class) order, so the result
+// is byte-identical to Queries.Differential whenever dirty covers every
+// changed device. That includes components of maxPathHops devices or more,
+// where solve takes the capped Trace walk: an untainted source's walk is the
+// same in both snapshots, caps included.
 
 // DeltaDifferential is the package-level convenience wrapper, sizing the
 // worker pool like Differential does.
 func DeltaDifferential(before, after *Network, dirty []string) []Diff {
-	w := before.workers
-	if w == 0 {
-		w = after.workers
-	}
-	return Queries{Workers: w}.DeltaDifferential(before, after, dirty)
+	return pairQueries(before, after).DeltaDifferential(before, after, dirty)
 }
 
 // DeltaDifferential runs the differential-reachability query restricted to
@@ -50,67 +46,25 @@ func DeltaDifferential(before, after *Network, dirty []string) []Diff {
 // are fine); under that precondition the output is byte-identical to
 // Differential(before, after).
 func (q Queries) DeltaDifferential(before, after *Network, dirty []string) []Diff {
-	// The clean-subtree solver and the exact trace walk agree only below the
-	// depth cap; Differential handles the deep case with per-device traces,
-	// so defer to it rather than replicating that fallback here.
-	if len(before.devices) >= maxPathHops || len(after.devices) >= maxPathHops {
-		return q.Differential(before, after)
-	}
-	defer before.observeWall("differential", time.Now())
-	before.cQueries.Inc()
-	classes := unionAddrs(before.EquivalenceClasses(), after.EquivalenceClasses())
-	sources := unionStrings(before.Devices(), after.Devices())
-	dirtySorted := append([]string{}, dirty...)
-	sort.Strings(dirtySorted)
-
-	results := make([][]Diff, len(classes))
-	q.run(len(classes), func(i int) {
-		results[i] = deltaClass(before, after, classes[i], dirtySorted, sources)
+	return q.differential(before, after, func(rep netip.Addr) []Diff {
+		var changed []string
+		for _, name := range dirty {
+			if !classEntryEqual(before.devices[name], after.devices[name], rep) {
+				changed = append(changed, name)
+			}
+		}
+		if len(changed) == 0 {
+			return nil
+		}
+		tainted := taintedSources(before, after, rep, changed)
+		before.cFlows.Add(uint64(len(tainted)))
+		before.gInflight.Add(int64(len(tainted)))
+		defer before.gInflight.Add(-int64(len(tainted)))
+		// Restricted results stay out of the per-class memo: they cover a
+		// subset of devices, and a later full query must not mistake them
+		// for complete class outcomes.
+		return diffOutcomes(rep, before.solve(rep, tainted), after.solve(rep, tainted))
 	})
-
-	var out []Diff
-	for _, ds := range results {
-		out = append(out, ds...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst.Less(out[j].Dst)
-	})
-	return out
-}
-
-// deltaClass evaluates one destination class: prune, taint, then compare
-// only tainted sources.
-func deltaClass(before, after *Network, rep netip.Addr, dirty, sources []string) []Diff {
-	var changed []string
-	for _, name := range dirty {
-		if !classEntryEqual(before.devices[name], after.devices[name], rep) {
-			changed = append(changed, name)
-		}
-	}
-	if len(changed) == 0 {
-		return nil
-	}
-	tainted := taintedSources(before, after, rep, changed)
-	before.cFlows.Add(uint64(len(tainted)))
-	before.gInflight.Add(int64(len(tainted)))
-	defer before.gInflight.Add(-int64(len(tainted)))
-
-	ob := before.partialOutcomes(rep, tainted)
-	oa := after.partialOutcomes(rep, tainted)
-	var ds []Diff
-	for _, src := range sources {
-		if !tainted[src] {
-			continue
-		}
-		b, a := ob[src], oa[src]
-		if b != a {
-			ds = append(ds, Diff{Src: src, Dst: rep, Before: b, After: a})
-		}
-	}
-	return ds
 }
 
 // classEntryEqual reports whether a device forwards the class identically
@@ -185,31 +139,4 @@ func taintedSources(before, after *Network, rep netip.Addr, changed []string) ma
 		}
 	}
 	return tainted
-}
-
-// partialOutcomes computes canonical outcomes for just the given sources,
-// sharing clean-subtree fragments within the call exactly like
-// solveOutcomes. Results deliberately stay out of the network's per-class
-// memo: they cover a subset of devices, and a later full query must not
-// mistake them for complete class outcomes.
-func (n *Network) partialOutcomes(dst netip.Addr, srcs map[string]bool) map[string]string {
-	s := &solver{n: n, dst: dst, frag: map[string][]string{}, stack: map[string]bool{}}
-	out := make(map[string]string, len(srcs))
-	for name := range srcs {
-		d, ok := n.devices[name]
-		if !ok {
-			out[name] = NoRoute.String() + "@" + name
-			continue
-		}
-		f, _ := s.visit(d)
-		canon := strings.Join(f, ",")
-		if canon == "" {
-			// Match dstOutcomes.outcome's fallback for empty outcome sets.
-			canon = NoRoute.String() + "@" + name
-		}
-		out[name] = canon
-	}
-	n.cMemoHits.Add(s.hits)
-	n.cMemoMisses.Add(s.misses)
-	return out
 }

@@ -16,6 +16,11 @@ import (
 // buildRandom, so delta tests can regenerate individual devices.
 func randomAFT(r *rand.Rand, name string, prefixes int) *aft.AFT {
 	b := aft.NewBuilder(name)
+	addRandomRoutes(r, b, prefixes)
+	return b.Build()
+}
+
+func addRandomRoutes(r *rand.Rand, b *aft.Builder, prefixes int) {
 	for p := 0; p < prefixes; p++ {
 		var a [4]byte
 		r.Read(a[:])
@@ -33,6 +38,21 @@ func randomAFT(r *rand.Rand, name string, prefixes int) *aft.AFT {
 		}
 		b.AddIPv4(prefix, b.AddGroup([]uint64{idx}), "test", 0)
 	}
+}
+
+// longRingAFT is randomAFT plus a default route one way around
+// topology.Ring: r1 leaves on Ethernet1, every other router on Ethernet2.
+// Unmatched classes then walk the whole ring, so on a ring of more than
+// maxPathHops routers the walk hits the TTL cap before it revisits a router.
+func longRingAFT(r *rand.Rand, name string, prefixes int) *aft.AFT {
+	b := aft.NewBuilder(name)
+	fwd := "Ethernet2"
+	if name == "r1" {
+		fwd = "Ethernet1"
+	}
+	hop := b.AddNextHop(aft.NextHop{Interface: fwd, IPAddress: "10.0.0.1"})
+	b.AddIPv4(netip.MustParsePrefix("0.0.0.0/0"), b.AddGroup([]uint64{hop}), "test", 0)
+	addRandomRoutes(r, b, prefixes)
 	return b.Build()
 }
 
@@ -43,40 +63,45 @@ func randomAFT(r *rand.Rand, name string, prefixes int) *aft.AFT {
 // dirty-device names.
 func randomSnapshotPair(r *rand.Rand, nodes, prefixes int) (*topology.Topology, map[string]*aft.AFT, map[string]*aft.AFT, []string) {
 	topo := topology.Ring(nodes, topology.VendorEOS)
+	before, after, dirty := randomPairOn(r, topo, prefixes, randomAFT)
+	return topo, before, after, dirty
+}
+
+// randomPairOn is randomSnapshotPair over any topology, with gen building
+// each device's AFT.
+func randomPairOn(r *rand.Rand, topo *topology.Topology, prefixes int, gen func(*rand.Rand, string, int) *aft.AFT) (map[string]*aft.AFT, map[string]*aft.AFT, []string) {
 	before := map[string]*aft.AFT{}
-	for i := 1; i <= nodes; i++ {
-		name := fmt.Sprintf("r%d", i)
-		before[name] = randomAFT(r, name, prefixes)
+	for _, node := range topo.Nodes {
+		before[node.Name] = gen(r, node.Name, prefixes)
 	}
 	after := map[string]*aft.AFT{}
 	for name, a := range before {
 		after[name] = a
 	}
 	var dirty []string
-	for i := 1; i <= nodes; i++ {
-		name := fmt.Sprintf("r%d", i)
+	for _, node := range topo.Nodes {
 		if r.Intn(3) == 0 {
-			after[name] = randomAFT(r, name, 1+r.Intn(prefixes+1))
-			dirty = append(dirty, name)
+			after[node.Name] = gen(r, node.Name, 1+r.Intn(prefixes+1))
+			dirty = append(dirty, node.Name)
 		}
 	}
 	if len(dirty) == 0 { // force at least one changed device
-		name := fmt.Sprintf("r%d", 1+r.Intn(nodes))
-		after[name] = randomAFT(r, name, 1+r.Intn(prefixes+1))
+		name := topo.Nodes[r.Intn(len(topo.Nodes))].Name
+		after[name] = gen(r, name, 1+r.Intn(prefixes+1))
 		dirty = append(dirty, name)
 	}
 	sort.Strings(dirty)
-	return topo, before, after, dirty
+	return before, after, dirty
 }
 
 // Property: DeltaDifferential is byte-identical to the full Differential on
 // random snapshot pairs, for workers 1, 2, and 8, whether the after network
 // is built from scratch or incrementally via UpdateFrom, and whether dirty
-// is exact or a superset (all devices).
+// is exact or a superset (all devices). Beyond the random rings, multi-region
+// pairs exercise the per-component solve under the taint restriction, and a
+// 70-router ring takes the capped Trace fallback for large components.
 func TestQuickDeltaMatchesFullDifferential(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		topo, beforeAFTs, afterAFTs, dirty := randomSnapshotPair(r, 3+r.Intn(4), 1+r.Intn(12))
+	check := func(topo *topology.Topology, beforeAFTs, afterAFTs map[string]*aft.AFT, dirty []string) bool {
 		before, err := NewNetwork(topo, beforeAFTs)
 		if err != nil {
 			return false
@@ -104,8 +129,26 @@ func TestQuickDeltaMatchesFullDifferential(t *testing.T) {
 		}
 		return true
 	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		topo, beforeAFTs, afterAFTs, dirty := randomSnapshotPair(r, 3+r.Intn(4), 1+r.Intn(12))
+		return check(topo, beforeAFTs, afterAFTs, dirty)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(83))}); err != nil {
 		t.Error(err)
+	}
+	r := rand.New(rand.NewSource(84))
+	for i := 0; i < 5; i++ {
+		topo := topology.MultiRegion(2+r.Intn(3), 3+r.Intn(3), topology.VendorEOS)
+		beforeAFTs, afterAFTs, dirty := randomPairOn(r, topo, 1+r.Intn(12), randomAFT)
+		if !check(topo, beforeAFTs, afterAFTs, dirty) {
+			t.Errorf("%s pair %d: delta differs from full differential", topo.Name, i)
+		}
+	}
+	ring := topology.Ring(70, topology.VendorEOS)
+	beforeAFTs, afterAFTs, dirty := randomPairOn(r, ring, 0, longRingAFT)
+	if !check(ring, beforeAFTs, afterAFTs, dirty) {
+		t.Error("ring-70 pair: delta differs from full differential")
 	}
 }
 
@@ -212,26 +255,34 @@ func TestUpdateFromDeviceRemovalAndReturn(t *testing.T) {
 	}
 }
 
+// TestOutcomeDelivered: Outcome.Has and Diff.Lost match the disposition,
+// never the device name, so a device called "rDelivered" cannot flip a
+// verdict.
 func TestOutcomeDelivered(t *testing.T) {
 	tests := []struct {
-		outcome string
+		outcome Outcome
 		want    bool
 	}{
-		{"Delivered@r1", true},
-		{"Dropped@r2", false},
-		{"NoRoute@r1", false},
-		{"Dropped@r2,Delivered@r3", true},
-		{"Delivered@r1,Dropped@r2", true},
-		{"Loop@r1,NoRoute@r2", false},
-		{"", false},
-		{"Delivered", false},          // missing device part
-		{"Undelivered@r1", false},     // disposition containing the word
-		{"NoRoute@rDelivered", false}, // device name containing the word
-		{"ExitsNetwork@Delivered", false},
+		{Outcome{{Delivered, "r1"}}, true},
+		{Outcome{{Dropped, "r2"}}, false},
+		{Outcome{{NoRoute, "r1"}}, false},
+		{Outcome{{Dropped, "r2"}, {Delivered, "r3"}}, true},
+		{Outcome{{Delivered, "r1"}, {Dropped, "r2"}}, true},
+		{Outcome{{Loop, "r1"}, {NoRoute, "r2"}}, false},
+		{nil, false},
+		{Outcome{{NoRoute, "rDelivered"}}, false}, // device name containing the word
+		{Outcome{{ExitsNetwork, "Delivered"}}, false},
 	}
+	delivered, lost := Outcome{{Delivered, "r9"}}, Outcome{{NoRoute, "r9"}}
 	for _, tc := range tests {
-		if got := OutcomeDelivered(tc.outcome); got != tc.want {
-			t.Errorf("OutcomeDelivered(%q) = %v, want %v", tc.outcome, got, tc.want)
+		if got := tc.outcome.Has(Delivered); got != tc.want {
+			t.Errorf("%q.Has(Delivered) = %v, want %v", tc.outcome, got, tc.want)
+		}
+		if got := (Diff{Before: tc.outcome, After: lost}).Lost(); got != tc.want {
+			t.Errorf("Lost(%q => %q) = %v, want %v", tc.outcome, lost, got, tc.want)
+		}
+		if got := (Diff{Before: delivered, After: tc.outcome}).Lost(); got != !tc.want {
+			t.Errorf("Lost(%q => %q) = %v, want %v", delivered, tc.outcome, got, !tc.want)
 		}
 	}
 }

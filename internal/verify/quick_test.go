@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +102,7 @@ func TestQuickECUniformityRandomNetworks(t *testing.T) {
 					member = start + uint32(r.Int63n(int64(end-start)+1))
 				}
 				for _, src := range net.Devices() {
-					if net.Trace(src, rep).Outcome() != net.Trace(src, u32Addr(member)).Outcome() {
+					if !slices.Equal(net.Trace(src, rep).Outcome(), net.Trace(src, u32Addr(member)).Outcome()) {
 						return false
 					}
 				}
@@ -154,25 +157,73 @@ func TestQuickDifferentialDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Property: the memoized per-device solver agrees with the unmemoized Trace
-// walk for every (source, class-representative) flow on random networks.
+// walk for every (source, class-representative) flow on random networks,
+// and on a 70-router ring whose walks reach the TTL cap.
 func TestQuickMemoizationMatchesTrace(t *testing.T) {
+	capped := false
+	matches := func(net *Network) bool {
+		for _, rep := range net.EquivalenceClasses() {
+			oc := net.outcomesFor(rep)
+			for _, src := range net.Devices() {
+				tr := net.Trace(src, rep)
+				if !slices.Equal(oc.outcome(src), tr.Outcome()) {
+					return false
+				}
+				for _, p := range tr.Paths {
+					capped = capped || (p.Disposition == Loop && len(p.Hops) == maxPathHops)
+				}
+			}
+		}
+		return true
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		_, net, err := buildRandom(r, 3+r.Intn(4), 1+r.Intn(15))
 		if err != nil {
 			return false
 		}
-		for _, rep := range net.EquivalenceClasses() {
-			oc := net.outcomesFor(rep)
-			for _, src := range net.Devices() {
-				if oc.outcome(src) != net.Trace(src, rep).Outcome() {
-					return false
-				}
-			}
-		}
-		return true
+		return matches(net)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(53))}); err != nil {
+		t.Error(err)
+	}
+	r := rand.New(rand.NewSource(54))
+	ring := topology.Ring(70, topology.VendorEOS)
+	afts := map[string]*aft.AFT{}
+	for _, node := range ring.Nodes {
+		afts[node.Name] = longRingAFT(r, node.Name, 2)
+	}
+	net, err := NewNetwork(ring, afts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matches(net) {
+		t.Error("ring-70: memoized outcomes differ from Trace")
+	}
+	if !capped {
+		t.Error("ring-70 never reached the maxPathHops cap")
+	}
+}
+
+// Property: Outcome.String renders what the string outcomes it replaced
+// did: "Disposition@device" fragments, sorted as strings, deduplicated and
+// joined by commas. Dispositions sort by name, not by value, and device
+// names like r10 sort between r1 and r2.
+func TestQuickOutcomeCanonicalOrder(t *testing.T) {
+	devices := []string{"r1", "r10", "r2", "Delivered", "rDelivered", "Loop", "g1n1"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var tr Trace
+		var frags []string
+		for i := r.Intn(10); i > 0; i-- {
+			p := Path{Disposition: Disposition(r.Intn(5)), Final: devices[r.Intn(len(devices))]}
+			tr.Paths = append(tr.Paths, p)
+			frags = append(frags, p.Disposition.String()+"@"+p.Final)
+		}
+		sort.Strings(frags)
+		return tr.Outcome().String() == strings.Join(slices.Compact(frags), ",")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(59))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,14 +7,14 @@ import (
 // This file gives the batch engine its region awareness. A topology built
 // from independent regions (cmd/topogen -shape regions) has a device graph
 // that splits into connected components, and a forwarding walk can never
-// cross a component boundary — packets only move over links. Solving
-// per-destination outcomes component-by-component therefore changes nothing
-// about the answers, but it changes everything about the cost model: the
-// maxPathHops solver cutoff applies per component instead of to the whole
-// network, and a destination class touches only the components whose FIBs
-// cover it. Devices in skipped components fall back to the exact NoRoute
-// self-outcome the sequential walk would have produced (no FIB coverage
-// means no matching entry).
+// cross a component boundary — packets only move over links. solve (see
+// batch.go) therefore works component by component, which changes nothing
+// about the answers but everything about the cost model: the maxPathHops
+// Trace fallback applies per component instead of to the whole network, and
+// a destination class touches only the components whose FIBs cover it.
+// Devices in skipped components fall back to the exact NoRoute self-outcome
+// the sequential walk would have produced (no FIB coverage means no matching
+// entry). A connected network is simply one component.
 
 // component is one connected piece of the device graph.
 type component struct {

@@ -8,9 +8,11 @@
 package verify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -111,40 +113,57 @@ func (t Trace) Delivered() bool {
 	return false
 }
 
-// Outcome canonicalizes a trace for differential comparison: the sorted set
-// of (disposition, final device) pairs across branches.
-func (t Trace) Outcome() string {
-	set := map[string]bool{}
-	for _, p := range t.Paths {
-		set[p.Disposition.String()+"@"+p.Final] = true
+// Outcome canonicalizes a trace for differential comparison: the set of
+// (disposition, final device) pairs across branches.
+func (t Trace) Outcome() Outcome {
+	o := make(Outcome, len(t.Paths))
+	for i, p := range t.Paths {
+		o[i] = Fragment{Disp: p.Disposition, Device: p.Final}
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
+	return canonical(o)
 }
 
-// OutcomeDelivered reports whether a canonical outcome string — the format
-// produced by Trace.Outcome and carried in Diff.Before/Diff.After — contains
-// a Delivered fragment. Fragments are "Disposition@device" joined by commas;
-// the disposition segment is matched exactly, so a device name (or a future
-// disposition label) containing "Delivered" as a substring cannot
-// misclassify the flow.
-func OutcomeDelivered(outcome string) bool {
-	for len(outcome) > 0 {
-		frag := outcome
-		if i := strings.IndexByte(outcome, ','); i >= 0 {
-			frag, outcome = outcome[:i], outcome[i+1:]
-		} else {
-			outcome = ""
+// Fragment is one (disposition, final device) pair of an outcome.
+type Fragment struct {
+	Disp   Disposition
+	Device string
+}
+
+// Outcome is the canonical forwarding outcome of one (source, destination)
+// flow: every branch's fragment, sorted by disposition name and then device,
+// without duplicates. Two flows forward alike exactly when their outcomes
+// are slices.Equal.
+type Outcome []Fragment
+
+// canonical sorts and deduplicates o in place. Ordering by disposition name
+// (not by Disposition value) keeps String byte-identical to sorting the
+// rendered "Disposition@device" fragments, since no disposition name is a
+// prefix of another.
+func canonical(o Outcome) Outcome {
+	slices.SortFunc(o, func(a, b Fragment) int {
+		return cmp.Or(strings.Compare(a.Disp.String(), b.Disp.String()), strings.Compare(a.Device, b.Device))
+	})
+	return slices.Compact(o)
+}
+
+// Has reports whether any branch ends with disposition d.
+func (o Outcome) Has(d Disposition) bool {
+	return slices.ContainsFunc(o, func(f Fragment) bool { return f.Disp == d })
+}
+
+// String renders "Delivered@r2,Dropped@r3", the form tables, -json reports
+// and Diff.String show.
+func (o Outcome) String() string {
+	var b strings.Builder
+	for i, f := range o {
+		if i > 0 {
+			b.WriteByte(',')
 		}
-		if disp, _, ok := strings.Cut(frag, "@"); ok && disp == Delivered.String() {
-			return true
-		}
+		b.WriteString(f.Disp.String())
+		b.WriteByte('@')
+		b.WriteString(f.Device)
 	}
-	return false
+	return b.String()
 }
 
 // maxPathHops bounds forwarding walks (TTL analogue).
@@ -201,7 +220,7 @@ type Network struct {
 	// Per-destination outcome solving runs component-by-component (see
 	// batch.go): forwarding walks can never cross a component boundary, so
 	// a region-sharded 10k-router network solves 500 20-device pieces
-	// instead of tripping the global outcomesByTrace fallback.
+	// instead of tripping the capped Trace fallback for large components.
 	compOnce sync.Once
 	comps    []*component
 
@@ -496,13 +515,15 @@ func (n *Network) Trace(src string, dst netip.Addr) Trace {
 	return t
 }
 
+// walk extends hops in place as it descends, so siblings reuse one backing
+// array; every recorded path takes its own copy.
 func (n *Network) walk(d *device, dst netip.Addr, hops []Hop, visited map[string]bool, t *Trace) {
 	if len(t.Paths) >= maxBranches {
 		t.Truncated = true
 		return
 	}
 	if visited[d.name] || len(hops) >= maxPathHops {
-		t.Paths = append(t.Paths, Path{Hops: hops, Disposition: Loop, Final: d.name})
+		t.Paths = append(t.Paths, Path{Hops: slices.Clone(hops), Disposition: Loop, Final: d.name})
 		return
 	}
 	visited[d.name] = true
@@ -510,7 +531,7 @@ func (n *Network) walk(d *device, dst netip.Addr, hops []Hop, visited map[string
 
 	_, entry, ok := d.fib.Lookup(dst)
 	if !ok {
-		t.Paths = append(t.Paths, Path{Hops: hops, Disposition: NoRoute, Final: d.name})
+		t.Paths = append(t.Paths, Path{Hops: slices.Clone(hops), Disposition: NoRoute, Final: d.name})
 		return
 	}
 	for _, h := range entry.hops {
@@ -519,30 +540,22 @@ func (n *Network) walk(d *device, dst netip.Addr, hops []Hop, visited map[string
 			return
 		}
 		step := Hop{Device: d.name, Matched: entry.prefix, Egress: h.Interface}
-		branch := append(append([]Hop{}, hops...), step)
+		disp := Delivered
 		switch {
 		case h.Receive:
 			step.Egress = ""
-			branch[len(branch)-1] = step
-			t.Paths = append(t.Paths, Path{Hops: branch, Disposition: Delivered, Final: d.name})
 		case h.Drop:
-			step.Egress = ""
-			branch[len(branch)-1] = step
-			t.Paths = append(t.Paths, Path{Hops: branch, Disposition: Dropped, Final: d.name})
+			step.Egress, disp = "", Dropped
 		default:
-			ep := topology.Endpoint{Node: d.name, Interface: h.Interface}
-			peer, wired := n.peerOf[ep]
-			if !wired {
-				t.Paths = append(t.Paths, Path{Hops: branch, Disposition: ExitsNetwork, Final: d.name})
-				continue
+			disp = ExitsNetwork
+			if peer, wired := n.peerOf[topology.Endpoint{Node: d.name, Interface: h.Interface}]; wired {
+				if next, ok := n.devices[peer.Node]; ok {
+					n.walk(next, dst, append(hops, step), visited, t)
+					continue
+				}
 			}
-			next, ok := n.devices[peer.Node]
-			if !ok {
-				t.Paths = append(t.Paths, Path{Hops: branch, Disposition: ExitsNetwork, Final: d.name})
-				continue
-			}
-			n.walk(next, dst, branch, visited, t)
 		}
+		t.Paths = append(t.Paths, Path{Hops: append(hops[:len(hops):len(hops)], step), Disposition: disp, Final: d.name})
 	}
 }
 
@@ -665,9 +678,13 @@ type Diff struct {
 	Src string
 	// Dst is the representative address of the affected class.
 	Dst netip.Addr
-	// Before/After are canonicalized outcomes (Trace.Outcome).
-	Before, After string
+	// Before/After are the flow's outcomes in each snapshot. They may share
+	// backing arrays with the networks' memoized outcomes: do not modify.
+	Before, After Outcome
 }
+
+// Lost reports whether the flow delivered before and no longer delivers.
+func (d Diff) Lost() bool { return d.Before.Has(Delivered) && !d.After.Has(Delivered) }
 
 // String renders "r5 -> 2.2.2.1: Delivered@r2 => NoRoute@r5".
 func (d Diff) String() string {
@@ -684,9 +701,11 @@ func (d Diff) String() string {
 // on each network, while the merged output stays byte-identical to the
 // sequential evaluation order regardless of worker count.
 func Differential(before, after *Network) []Diff {
-	w := before.workers
-	if w == 0 {
-		w = after.workers
-	}
-	return Queries{Workers: w}.Differential(before, after)
+	return pairQueries(before, after).Differential(before, after)
+}
+
+// pairQueries sizes a two-snapshot query's pool by whichever network has
+// SetWorkers configured, before first.
+func pairQueries(before, after *Network) Queries {
+	return Queries{Workers: cmp.Or(before.workers, after.workers)}
 }

@@ -172,7 +172,7 @@ func TestTraceECMPBranches(t *testing.T) {
 	if !tr.Delivered() {
 		t.Error("ECMP delivery branch missed")
 	}
-	outcome := tr.Outcome()
+	outcome := tr.Outcome().String()
 	if outcome != "Delivered@r2,Dropped@r3" {
 		t.Errorf("Outcome = %q", outcome)
 	}
@@ -269,9 +269,9 @@ func TestClassMembersForwardIdentically(t *testing.T) {
 		start := addrU32(rep)
 		mid := start + (end-start)/2
 		for _, src := range n.Devices() {
-			want := n.Trace(src, rep).Outcome()
+			want := n.Trace(src, rep).Outcome().String()
 			for _, probe := range []uint32{mid, end} {
-				got := n.Trace(src, u32Addr(probe)).Outcome()
+				got := n.Trace(src, u32Addr(probe)).Outcome().String()
 				if got != want {
 					t.Fatalf("class [%v..%v] not uniform from %s: %v -> %q, rep %q",
 						rep, u32Addr(end), src, u32Addr(probe), got, want)
@@ -320,7 +320,7 @@ func TestDifferentialDetectsChange(t *testing.T) {
 	found := false
 	for _, d := range diffs {
 		if d.Src == "r1" && pfx("9.0.0.0/8").Contains(d.Dst) {
-			if d.Before == "" || d.After == "" || d.Before == d.After {
+			if d.Before.String() == "" || d.After.String() == "" || d.Before.String() == d.After.String() {
 				t.Errorf("diff = %+v", d)
 			}
 			found = true
