@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x -run '^$' ./... | benchgate -emit out.json
+//	go test -bench . -benchtime 1x -benchmem -run '^$' ./... | benchgate -emit out.json
 //	benchgate -compare -baseline bench/baseline.json -current out.json
 //
-// Compare mode exits nonzero only on a hard failure: a benchmark whose name
+// Emit mode records ns/op, plus B/op and allocs/op when the run used
+// -benchmem. Compare mode gates on ns/op alone and exits nonzero only on a hard failure: a benchmark whose name
 // matches -critical (default "E1") regressing more than -fail (default 30%).
 // Any benchmark regressing more than -warn (default 10%) is reported as a
 // warning. When the baseline was recorded on a different CPU model, hard
@@ -25,10 +26,13 @@ import (
 	"strconv"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark measurement. BOp and AllocsOp are nil when the
+// run did not report them (no -benchmem or b.ReportAllocs).
 type Result struct {
-	Name string  `json:"name"` // normalized: trailing -GOMAXPROCS stripped
-	NsOp float64 `json:"ns_op"`
+	Name     string   `json:"name"` // normalized: trailing -GOMAXPROCS stripped
+	NsOp     float64  `json:"ns_op"`
+	BOp      *float64 `json:"b_op,omitempty"`
+	AllocsOp *float64 `json:"allocs_op,omitempty"`
 }
 
 // Report is the JSON artifact: environment plus sorted results.
@@ -42,6 +46,10 @@ type Report struct {
 // The `#NN` duplicate-name counter and the `-GOMAXPROCS` suffix are both
 // normalization noise: strip them so reports compare across machines.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:#\d+)?(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
+
+// memCol matches the -benchmem columns anywhere after ns/op, between the
+// custom metrics b.ReportMetric adds.
+var memCol = regexp.MustCompile(`\s([0-9.]+) (B|allocs)/op\b`)
 
 // cpuLine matches the `cpu: ...` header go test prints.
 var cpuLine = regexp.MustCompile(`^cpu:\s+(.+?)\s*$`)
@@ -70,7 +78,19 @@ func parse(r *bufio.Scanner) (*Report, error) {
 			continue
 		}
 		seen[name] = true
-		rep.Results = append(rep.Results, Result{Name: name, NsOp: ns})
+		res := Result{Name: name, NsOp: ns}
+		for _, c := range memCol.FindAllStringSubmatch(line, -1) {
+			v, err := strconv.ParseFloat(c[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchgate: bad %s/op in %q: %w", c[2], line, err)
+			}
+			if c[2] == "B" {
+				res.BOp = &v
+			} else {
+				res.AllocsOp = &v
+			}
+		}
+		rep.Results = append(rep.Results, res)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -48,6 +48,38 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseBenchmem checks the -benchmem columns land in b_op/allocs_op,
+// custom metrics around them notwithstanding, and stay absent without it.
+func TestParseBenchmem(t *testing.T) {
+	rep := mustParse(t, `cpu: x
+BenchmarkExportAFT-2   	   13274	     96480 ns/op	        83.00 entries	   36624 B/op	      46 allocs/op
+BenchmarkZeroAlloc-2   	 1000000	        12.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNoMem-2       	       1	    233601 ns/op	        16.00 changed-flows
+`)
+	want := map[string][2]float64{
+		"BenchmarkExportAFT": {36624, 46},
+		"BenchmarkZeroAlloc": {0, 0},
+	}
+	if len(rep.Results) != 3 {
+		t.Fatalf("parsed %d results, want 3: %+v", len(rep.Results), rep.Results)
+	}
+	for _, r := range rep.Results {
+		w, ok := want[r.Name]
+		if !ok {
+			if r.BOp != nil || r.AllocsOp != nil {
+				t.Errorf("%s: memory columns parsed from a line without them", r.Name)
+			}
+			continue
+		}
+		if r.BOp == nil || r.AllocsOp == nil || *r.BOp != w[0] || *r.AllocsOp != w[1] {
+			t.Errorf("%s: b_op %v allocs_op %v, want %v", r.Name, r.BOp, r.AllocsOp, w)
+		}
+	}
+	if rep.Results[0].NsOp != 96480 {
+		t.Errorf("ns_op = %v, want 96480", rep.Results[0].NsOp)
+	}
+}
+
 func TestCompareThresholds(t *testing.T) {
 	crit := regexp.MustCompile("E1")
 	base := &Report{CPU: "x", Results: []Result{

@@ -7,10 +7,13 @@
 package aft
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"mfv/internal/diag"
 	"mfv/internal/intern"
@@ -73,27 +76,39 @@ type AFT struct {
 // groups.
 type Builder struct {
 	aft      *AFT
-	nhIndex  map[string]uint64
+	nhIndex  map[hopKey]uint64
 	nhgIndex map[string]uint64
+	// sorted and buf are scratch space reused across calls, so a lookup
+	// that hits an existing hop or group allocates nothing.
+	sorted []uint64
+	buf    []byte
+}
+
+// hopKey is a next hop's identity for deduplication: every field but Index,
+// with the label stack packed at a fixed four bytes per label, so distinct
+// stacks never share a key and nil and empty stacks do.
+type hopKey struct {
+	ip, intf      string
+	labels        string
+	drop, receive bool
 }
 
 // NewBuilder starts an AFT for the named device.
 func NewBuilder(device string) *Builder {
 	return &Builder{
 		aft:      &AFT{Device: device},
-		nhIndex:  map[string]uint64{},
+		nhIndex:  map[hopKey]uint64{},
 		nhgIndex: map[string]uint64{},
 	}
 }
 
-func nhKey(nh NextHop) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v", nh.IPAddress, nh.Interface, nh.PushedLabels, nh.Drop, nh.Receive)
-}
-
 // AddNextHop interns a next hop and returns its index.
 func (b *Builder) AddNextHop(nh NextHop) uint64 {
-	key := nhKey(nh)
-	if idx, ok := b.nhIndex[key]; ok {
+	b.buf = b.buf[:0]
+	for _, l := range nh.PushedLabels {
+		b.buf = binary.BigEndian.AppendUint32(b.buf, l)
+	}
+	if idx, ok := b.nhIndex[hopKey{nh.IPAddress, nh.Interface, string(b.buf), nh.Drop, nh.Receive}]; ok {
 		return idx
 	}
 	// The same adjacent-hop address and interface name recur across every
@@ -102,28 +117,34 @@ func (b *Builder) AddNextHop(nh NextHop) uint64 {
 	nh.Interface = intern.String(nh.Interface)
 	nh.Index = uint64(len(b.aft.NextHops) + 1)
 	b.aft.NextHops = append(b.aft.NextHops, nh)
-	b.nhIndex[key] = nh.Index
+	b.nhIndex[hopKey{nh.IPAddress, nh.Interface, string(b.buf), nh.Drop, nh.Receive}] = nh.Index
 	return nh.Index
 }
 
 // AddGroup interns an ECMP group over next-hop indices and returns its id.
+// Groups are keyed by their sorted indices in uvarint encoding, which is
+// prefix-free, so distinct index lists never share a key.
 func (b *Builder) AddGroup(nhIdx []uint64) uint64 {
-	sorted := append([]uint64{}, nhIdx...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	key := fmt.Sprint(sorted)
-	if id, ok := b.nhgIndex[key]; ok {
+	b.sorted = append(b.sorted[:0], nhIdx...)
+	slices.Sort(b.sorted)
+	b.buf = b.buf[:0]
+	for _, idx := range b.sorted {
+		b.buf = binary.AppendUvarint(b.buf, idx)
+	}
+	if id, ok := b.nhgIndex[string(b.buf)]; ok {
 		return id
 	}
 	id := uint64(len(b.aft.NextHopGroups) + 1)
-	b.aft.NextHopGroups = append(b.aft.NextHopGroups, NextHopGroup{ID: id, NextHops: sorted})
-	b.nhgIndex[key] = id
+	b.aft.NextHopGroups = append(b.aft.NextHopGroups, NextHopGroup{ID: id, NextHops: append([]uint64{}, b.sorted...)})
+	b.nhgIndex[string(b.buf)] = id
 	return id
 }
 
 // AddIPv4 appends an IPv4 entry.
 func (b *Builder) AddIPv4(prefix netip.Prefix, nhg uint64, origin string, metric uint32) {
+	var buf [64]byte
 	b.aft.IPv4Entries = append(b.aft.IPv4Entries, IPv4Entry{
-		Prefix:       intern.String(prefix.String()),
+		Prefix:       intern.Bytes(prefix.AppendTo(buf[:0])),
 		NextHopGroup: nhg,
 		Origin:       intern.String(origin),
 		Metric:       metric,
@@ -140,12 +161,8 @@ func (b *Builder) AddLabel(label uint32, nhg uint64, pop bool) {
 // verification run (10k of them at the scale tier), and append's growth
 // slack would otherwise pin up to 2x the needed memory.
 func (b *Builder) Build() *AFT {
-	sort.Slice(b.aft.IPv4Entries, func(i, j int) bool {
-		return b.aft.IPv4Entries[i].Prefix < b.aft.IPv4Entries[j].Prefix
-	})
-	sort.Slice(b.aft.LabelEntries, func(i, j int) bool {
-		return b.aft.LabelEntries[i].Label < b.aft.LabelEntries[j].Label
-	})
+	slices.SortFunc(b.aft.IPv4Entries, func(x, y IPv4Entry) int { return strings.Compare(x.Prefix, y.Prefix) })
+	slices.SortFunc(b.aft.LabelEntries, func(x, y LabelEntry) int { return cmp.Compare(x.Label, y.Label) })
 	b.aft.IPv4Entries = trim(b.aft.IPv4Entries)
 	b.aft.LabelEntries = trim(b.aft.LabelEntries)
 	b.aft.NextHopGroups = trim(b.aft.NextHopGroups)
@@ -253,8 +270,13 @@ func (a *AFT) Validate() error {
 	return nil
 }
 
-// Group returns the group by id.
+// Group returns the group by id. Build numbers groups densely from 1, so
+// the group at position id-1 is checked first; ingested tables need not be
+// dense and fall back to a scan.
 func (a *AFT) Group(id uint64) (NextHopGroup, bool) {
+	if i := id - 1; i < uint64(len(a.NextHopGroups)) && a.NextHopGroups[i].ID == id {
+		return a.NextHopGroups[i], true
+	}
 	for _, g := range a.NextHopGroups {
 		if g.ID == id {
 			return g, true
@@ -263,8 +285,12 @@ func (a *AFT) Group(id uint64) (NextHopGroup, bool) {
 	return NextHopGroup{}, false
 }
 
-// NextHop returns the next hop by index.
+// NextHop returns the next hop by index, checking position idx-1 first like
+// Group.
 func (a *AFT) NextHop(idx uint64) (NextHop, bool) {
+	if i := idx - 1; i < uint64(len(a.NextHops)) && a.NextHops[i].Index == idx {
+		return a.NextHops[i], true
+	}
 	for _, nh := range a.NextHops {
 		if nh.Index == idx {
 			return nh, true
@@ -290,37 +316,65 @@ func (a *AFT) GroupHops(id uint64) []NextHop {
 
 // Fingerprint returns a deterministic digest of forwarding-relevant state,
 // used by convergence detection: two AFTs with equal fingerprints forward
-// identically.
+// identically. The digest is FNV-1a over one line per entry: the prefix (or
+// "L" and the label) followed by "|ip|interface|[labels]|drop|receive" for
+// each of its next hops.
 func (a *AFT) Fingerprint() string {
-	var b []byte
+	h := uint64(fnvOffset)
+	var line []byte
 	for _, e := range a.IPv4Entries {
-		b = append(b, e.Prefix...)
-		for _, nh := range a.GroupHops(e.NextHopGroup) {
-			b = append(b, '|')
-			b = append(b, nhKey(nh)...)
-		}
-		b = append(b, '\n')
+		line = append(line[:0], e.Prefix...)
+		line = a.appendGroup(line, e.NextHopGroup)
+		h = fnv64(h, line)
 	}
 	for _, e := range a.LabelEntries {
-		b = append(b, fmt.Sprintf("L%d", e.Label)...)
-		for _, nh := range a.GroupHops(e.NextHopGroup) {
-			b = append(b, '|')
-			b = append(b, nhKey(nh)...)
-		}
-		b = append(b, '\n')
+		line = append(line[:0], 'L')
+		line = strconv.AppendUint(line, uint64(e.Label), 10)
+		line = a.appendGroup(line, e.NextHopGroup)
+		h = fnv64(h, line)
 	}
-	return fmt.Sprintf("%x", fnv64(b))
+	return strconv.FormatUint(h, 16)
 }
 
-func fnv64(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// appendGroup appends the fingerprint encoding of group id's next hops and
+// the line's closing newline.
+func (a *AFT) appendGroup(b []byte, id uint64) []byte {
+	if g, ok := a.Group(id); ok {
+		for _, idx := range g.NextHops {
+			nh, ok := a.NextHop(idx)
+			if !ok {
+				continue
+			}
+			b = append(b, '|')
+			b = append(b, nh.IPAddress...)
+			b = append(b, '|')
+			b = append(b, nh.Interface...)
+			b = append(b, '|', '[')
+			for i, l := range nh.PushedLabels {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendUint(b, uint64(l), 10)
+			}
+			b = append(b, ']', '|')
+			b = strconv.AppendBool(b, nh.Drop)
+			b = append(b, '|')
+			b = strconv.AppendBool(b, nh.Receive)
+		}
+	}
+	return append(b, '\n')
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv64 folds b into the running FNV-1a hash h.
+func fnv64(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime
+		h *= fnvPrime
 	}
 	return h
 }

@@ -7,8 +7,10 @@ package dataplane
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"mfv/internal/aft"
+	"mfv/internal/intern"
 	"mfv/internal/mpls"
 	"mfv/internal/routing"
 )
@@ -50,21 +52,24 @@ func New(rib *routing.RIB, localAddrs []netip.Addr) *FIB {
 }
 
 // Resolve fully resolves the forwarding action(s) for a route.
-func (f *FIB) Resolve(r routing.Route) ([]ResolvedHop, error) {
+func (f *FIB) Resolve(r routing.Route) ([]ResolvedHop, error) { return f.resolve(nil, r) }
+
+// resolve is Resolve writing into dst's backing array, so a caller that
+// resolves route after route reuses one hop buffer.
+func (f *FIB) resolve(dst []ResolvedHop, r routing.Route) ([]ResolvedHop, error) {
+	out := dst[:0]
 	if r.Drop {
-		return []ResolvedHop{{Drop: true}}, nil
+		return append(out, ResolvedHop{Drop: true}), nil
 	}
 	if r.Protocol == routing.ProtoLocal {
 		// The device's own address: local delivery, not forwarding.
-		return []ResolvedHop{{Receive: true}}, nil
+		return append(out, ResolvedHop{Receive: true}), nil
 	}
-	var out []ResolvedHop
 	for _, nh := range r.NextHops {
-		hops, err := f.resolveHop(nh, 0)
-		if err != nil {
+		var err error
+		if out, err = f.appendHop(out, nh, 0); err != nil {
 			return nil, fmt.Errorf("dataplane: resolving %v: %w", r.Prefix, err)
 		}
-		out = append(out, hops...)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("dataplane: route %v resolved to nothing", r.Prefix)
@@ -72,28 +77,28 @@ func (f *FIB) Resolve(r routing.Route) ([]ResolvedHop, error) {
 	return dedupHops(out), nil
 }
 
-func (f *FIB) resolveHop(nh routing.NextHop, depth int) ([]ResolvedHop, error) {
+// appendHop appends the resolved forwarding actions of one next hop to out.
+func (f *FIB) appendHop(out []ResolvedHop, nh routing.NextHop, depth int) ([]ResolvedHop, error) {
 	if depth > maxRecursion {
 		return nil, fmt.Errorf("recursion limit hit at %v", nh.IP)
 	}
 	// Direct (connected) hop: interface known, or no IP at all.
 	if nh.Interface != "" {
-		return []ResolvedHop{{IP: nh.IP, Interface: nh.Interface, Labels: nh.LabelStack}}, nil
+		return append(out, ResolvedHop{IP: nh.IP, Interface: nh.Interface, Labels: nh.LabelStack}), nil
 	}
 	if !nh.IP.IsValid() {
 		return nil, fmt.Errorf("next hop with neither interface nor address")
 	}
 	if f.localAddrs[nh.IP] {
-		return []ResolvedHop{{Receive: true}}, nil
+		return append(out, ResolvedHop{Receive: true}), nil
 	}
 	via, ok := f.rib.Lookup(nh.IP)
 	if !ok {
 		return nil, fmt.Errorf("no route to next hop %v", nh.IP)
 	}
 	if via.Drop {
-		return []ResolvedHop{{Drop: true}}, nil
+		return append(out, ResolvedHop{Drop: true}), nil
 	}
-	var out []ResolvedHop
 	for _, inner := range via.NextHops {
 		if via.Protocol == routing.ProtoConnected || via.Protocol == routing.ProtoLocal {
 			// Terminal: the original next hop is on a connected subnet.
@@ -105,33 +110,42 @@ func (f *FIB) resolveHop(nh routing.NextHop, depth int) ([]ResolvedHop, error) {
 			out = append(out, hop)
 			continue
 		}
-		resolved, err := f.resolveHop(inner, depth+1)
-		if err != nil {
+		start := len(out)
+		var err error
+		if out, err = f.appendHop(out, inner, depth+1); err != nil {
 			return nil, err
 		}
 		// The recursive route's labels stack under the original's.
-		for i := range resolved {
-			if len(nh.LabelStack) > 0 {
-				resolved[i].Labels = append(append([]uint32{}, nh.LabelStack...), resolved[i].Labels...)
+		if len(nh.LabelStack) > 0 {
+			for i := start; i < len(out); i++ {
+				out[i].Labels = append(append([]uint32{}, nh.LabelStack...), out[i].Labels...)
 			}
 		}
-		out = append(out, resolved...)
 	}
 	return out, nil
 }
 
+// dedupHops drops repeated hops, keeping first occurrences in order. The
+// resolver owns in, so the filter runs in place; hop lists are short enough
+// that a linear scan beats any keyed set.
 func dedupHops(in []ResolvedHop) []ResolvedHop {
-	var out []ResolvedHop
-	seen := map[string]bool{}
-	for _, h := range in {
-		key := fmt.Sprintf("%v|%s|%v|%v|%v", h.IP, h.Interface, h.Labels, h.Drop, h.Receive)
-		if seen[key] {
-			continue
+	if len(in) < 2 {
+		return in
+	}
+	out := in[:1]
+	for _, h := range in[1:] {
+		if !slices.ContainsFunc(out, h.equal) {
+			out = append(out, h)
 		}
-		seen[key] = true
-		out = append(out, h)
 	}
 	return out
+}
+
+// equal reports whether two hops forward identically; nil and empty label
+// stacks are the same stack.
+func (h ResolvedHop) equal(o ResolvedHop) bool {
+	return h.IP == o.IP && h.Interface == o.Interface && h.Drop == o.Drop &&
+		h.Receive == o.Receive && slices.Equal(h.Labels, o.Labels)
 }
 
 // ExportAFT renders the full RIB as an AFT, resolving every elected route.
@@ -139,12 +153,15 @@ func dedupHops(in []ResolvedHop) []ResolvedHop {
 // real devices either). crossConnects adds MPLS ILM entries.
 func (f *FIB) ExportAFT(device string, crossConnects []mpls.CrossConnect) *aft.AFT {
 	b := aft.NewBuilder(device)
+	var hops []ResolvedHop
+	var idx []uint64
 	for _, r := range f.rib.Routes() {
-		hops, err := f.Resolve(r)
+		resolved, err := f.resolve(hops, r)
 		if err != nil {
 			continue
 		}
-		var idx []uint64
+		hops = resolved
+		idx = idx[:0]
 		for _, h := range hops {
 			idx = append(idx, b.AddNextHop(aftHop(h)))
 		}
@@ -171,6 +188,8 @@ func (f *FIB) ExportAFT(device string, crossConnects []mpls.CrossConnect) *aft.A
 	return b.Build()
 }
 
+// aftHop converts a resolved hop to its AFT form. The address is rendered
+// on the stack and interned, so a repeated address costs no allocation.
 func aftHop(h ResolvedHop) aft.NextHop {
 	nh := aft.NextHop{
 		Interface:    h.Interface,
@@ -179,7 +198,8 @@ func aftHop(h ResolvedHop) aft.NextHop {
 		Receive:      h.Receive,
 	}
 	if h.IP.IsValid() {
-		nh.IPAddress = h.IP.String()
+		var buf [64]byte
+		nh.IPAddress = intern.Bytes(h.IP.AppendTo(buf[:0]))
 	}
 	return nh
 }

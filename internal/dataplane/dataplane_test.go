@@ -209,3 +209,35 @@ func TestExportAFTDeterministic(t *testing.T) {
 		t.Error("AFT export not deterministic")
 	}
 }
+
+// TestDedupHops checks the hop filter keeps first occurrences in order,
+// treats nil and empty label stacks as one stack, and keeps label stacks,
+// drop and receive apart.
+func TestDedupHops(t *testing.T) {
+	a, b := addr("10.0.0.1"), addr("10.0.0.3")
+	in := []ResolvedHop{
+		{IP: b, Interface: "Ethernet2"},
+		{IP: a, Interface: "Ethernet1", Labels: []uint32{1, 2}},
+		{IP: a, Interface: "Ethernet1", Labels: []uint32{12}},
+		{IP: a, Interface: "Ethernet1"},
+		{IP: b, Interface: "Ethernet2", Labels: []uint32{}},
+		{IP: a, Interface: "Ethernet1", Labels: []uint32{1, 2}},
+		{Drop: true},
+		{Receive: true},
+		{Drop: true},
+	}
+	want := []ResolvedHop{in[0], in[1], in[2], in[3], in[6], in[7]}
+	got := dedupHops(in)
+	if len(got) != len(want) {
+		t.Fatalf("dedupHops kept %d hops, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !got[i].equal(want[i]) || len(got[i].Labels) != len(want[i].Labels) {
+			t.Errorf("hop %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	one := []ResolvedHop{{IP: a}}
+	if got := dedupHops(one); len(got) != 1 || &got[0] != &one[0] {
+		t.Error("single hop not returned unchanged")
+	}
+}

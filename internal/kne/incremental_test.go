@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mfv/internal/aft"
 	"mfv/internal/kube"
 	"mfv/internal/sim"
 	"mfv/internal/testnet"
@@ -115,3 +116,34 @@ func TestCrashRecoverEpochAndStaleAFT(t *testing.T) {
 		t.Error("rebuilt r3 exports an empty AFT after reconvergence")
 	}
 }
+
+// BenchmarkExportAFT measures the render path alone — FIB resolution and
+// AFT building for one converged WAN(30) router, bypassing the generation
+// cache — with its allocations, the per-candidate cost every dirty router
+// pays in a failure sweep.
+func BenchmarkExportAFT(b *testing.B) {
+	topo := testnet.WAN(30, true)
+	e, err := New(Config{Topology: topo, Sim: sim.New(42)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.RunUntilConverged(30*time.Second, time.Hour); err != nil {
+		b.Fatal(err)
+	}
+	r, ok := e.Router(topo.Nodes[0].Name)
+	if !ok {
+		b.Fatal("router missing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exported = r.RenderAFT()
+	}
+	b.ReportMetric(float64(len(exported.IPv4Entries)), "entries")
+}
+
+// exported keeps BenchmarkExportAFT's result live.
+var exported *aft.AFT

@@ -10,6 +10,7 @@
 package snapchain
 
 import (
+	"slices"
 	"sort"
 
 	"mfv/internal/aft"
@@ -20,13 +21,18 @@ import (
 )
 
 // Snap is one dataplane snapshot: the reachability network, the extracted
-// forwarding tables it was built from, the total forwarding-entry count, and
-// the per-router generation stamps dirty-set computations key on.
+// forwarding tables it was built from, the total forwarding-entry count, the
+// per-router generation stamps dirty-set computations key on, and each
+// router's AFT fingerprint.
 type Snap struct {
 	Net    *verify.Network
 	AFTs   map[string]*aft.AFT
 	Routes int
 	Stamps map[string]kne.GenStamp
+	// FPs maps each router to AFTs[router].Fingerprint(). A fingerprint is
+	// computed once per FIB generation: an incremental snapshot carries it
+	// over from the previous one for every router whose stamp did not move.
+	FPs map[string]string
 }
 
 // Chain builds successive snapshots from an emulator. The zero Chain is not
@@ -84,11 +90,15 @@ func (c *Chain) Snapshot() (Snap, error) {
 	stamps := c.em.FIBGenerations()
 	var n *verify.Network
 	var err error
+	var prev *Snap
+	var dirty []string
 	if c.incremental && c.last != nil {
 		// Routers whose stamp moved since the previous snapshot are the
-		// only ones whose AFT can differ; every other device's trie and
-		// equivalence-interval cache carries over.
-		n, err = c.last.Net.UpdateFrom(afts, DiffStamps(c.last.Stamps, stamps))
+		// only ones whose AFT can differ; every other device's trie,
+		// equivalence-interval cache and fingerprint carries over.
+		prev = c.last
+		dirty = DiffStamps(prev.Stamps, stamps)
+		n, err = prev.Net.UpdateFrom(afts, dirty)
 	} else {
 		n, err = verify.NewNetwork(c.topo, afts)
 	}
@@ -98,10 +108,19 @@ func (c *Chain) Snapshot() (Snap, error) {
 	n.SetObserver(c.obs)
 	n.SetWorkers(c.workers)
 	total := 0
-	for _, a := range afts {
+	fps := make(map[string]string, len(afts))
+	for name, a := range afts {
 		total += len(a.IPv4Entries)
+		fp, ok := "", false
+		if _, moved := slices.BinarySearch(dirty, name); prev != nil && !moved {
+			fp, ok = prev.FPs[name]
+		}
+		if !ok {
+			fp = a.Fingerprint()
+		}
+		fps[name] = fp
 	}
-	s := Snap{Net: n, AFTs: afts, Routes: total, Stamps: stamps}
+	s := Snap{Net: n, AFTs: afts, Routes: total, Stamps: stamps, FPs: fps}
 	c.last = &s
 	return s, nil
 }

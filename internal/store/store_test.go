@@ -47,6 +47,47 @@ func buildAFT(t testing.TB, device, prefix string) *aft.AFT {
 	return b.Build()
 }
 
+// buildLabeledAFT adds multi-label stacks, a receive hop and several MPLS
+// label entries to the hashed surface.
+func buildLabeledAFT(device string) *aft.AFT {
+	b := aft.NewBuilder(device)
+	nh1 := b.AddNextHop(aft.NextHop{IPAddress: "192.0.2.1", Interface: "Ethernet1", PushedLabels: []uint32{16002, 16003}})
+	nh2 := b.AddNextHop(aft.NextHop{IPAddress: "192.0.2.3", Interface: "Ethernet2"})
+	recv := b.AddNextHop(aft.NextHop{Receive: true})
+	g := b.AddGroup([]uint64{nh2, nh1})
+	gr := b.AddGroup([]uint64{recv})
+	b.AddIPv4(netip.MustParsePrefix("10.0.2.0/24"), g, "isis", 20)
+	b.AddIPv4(netip.MustParsePrefix("2.2.2.2/32"), gr, "local", 0)
+	b.AddLabel(16002, gr, true)
+	b.AddLabel(24001, g, false)
+	return b.Build()
+}
+
+// TestHashAFTsPinned pins DataplaneHash to literal digests: every saved
+// snapshot and sweep journal stores it, and Load rejects a mismatch, so a
+// change in its bytes would orphan every file already on disk.
+func TestHashAFTsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		afts map[string]*aft.AFT
+		want string
+	}{
+		{"plain", map[string]*aft.AFT{
+			"r1": buildAFT(t, "r1", "10.0.0.0/24"),
+			"r2": buildAFT(t, "r2", "10.0.1.0/24"),
+		}, "eefed3189a09b42e4870d0c66627d302b245d42928091045e1a306a01d97a0ca"},
+		{"labeled", map[string]*aft.AFT{
+			"r1": buildAFT(t, "r1", "10.0.0.0/24"),
+			"r3": buildLabeledAFT("r3"),
+		}, "1772b0f505644446847d2a288e5cfc71ed9216f6e8304ac00d3b217ff3721d6e"},
+		{"empty", map[string]*aft.AFT{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		if got := store.HashAFTs(tc.afts); got != tc.want {
+			t.Errorf("%s: HashAFTs = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := buildSnapshot(t)
 	data, err := s.Encode()

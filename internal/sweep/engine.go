@@ -855,8 +855,9 @@ func (e *engine) evaluate(r *replica, c Candidate) (*outcome, error) {
 	// real residue, reported per row.
 	drifted := false
 	for _, name := range snapchain.DiffStamps(o.base.Stamps, restored.Stamps) {
-		ba, ra := o.base.AFTs[name], restored.AFTs[name]
-		if ba == nil || ra == nil || ba.Fingerprint() != ra.Fingerprint() {
+		bf, bok := o.base.FPs[name]
+		rf, rok := restored.FPs[name]
+		if !bok || !rok || bf != rf {
 			drifted = true
 			break
 		}
@@ -920,14 +921,7 @@ func (e *engine) fingerprint(r *replica, o *outcome) string {
 		fmt.Fprintf(h, "epoch=r%d.%d;", r.id, r.epoch)
 	}
 	for _, name := range o.dirty {
-		var bf, impf string
-		if a := o.base.AFTs[name]; a != nil {
-			bf = a.Fingerprint()
-		}
-		if a := o.impact.AFTs[name]; a != nil {
-			impf = a.Fingerprint()
-		}
-		fmt.Fprintf(h, "%s:%s>%s;", name, bf, impf)
+		fmt.Fprintf(h, "%s:%s>%s;", name, o.base.FPs[name], o.impact.FPs[name])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

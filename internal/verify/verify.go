@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -330,33 +331,33 @@ func internHops(hops []aft.NextHop) []aft.NextHop {
 	if len(hops) == 0 {
 		return nil
 	}
-	var b strings.Builder
+	var b []byte
 	for _, h := range hops {
-		b.WriteString(h.IPAddress)
-		b.WriteByte('|')
-		b.WriteString(h.Interface)
+		b = append(b, h.IPAddress...)
+		b = append(b, '|')
+		b = append(b, h.Interface...)
 		for _, l := range h.PushedLabels {
-			fmt.Fprintf(&b, "|%d", l)
+			b = append(b, '|')
+			b = strconv.AppendUint(b, uint64(l), 10)
 		}
 		if h.Drop {
-			b.WriteString("|D")
+			b = append(b, "|D"...)
 		}
 		if h.Receive {
-			b.WriteString("|R")
+			b = append(b, "|R"...)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	key := b.String()
 	hopGroups.Lock()
 	defer hopGroups.Unlock()
-	if c, ok := hopGroups.m[key]; ok {
+	if c, ok := hopGroups.m[string(b)]; ok {
 		return c
 	}
 	if hopGroups.m == nil {
 		hopGroups.m = map[string][]aft.NextHop{}
 	}
 	c := append([]aft.NextHop(nil), hops...)
-	hopGroups.m[key] = c
+	hopGroups.m[string(b)] = c
 	return c
 }
 
@@ -371,6 +372,8 @@ func buildDevice(name string, a *aft.AFT) (*device, error) {
 	// per route keeps the retained per-router footprint flat at 10k devices.
 	entries := make([]fibEntry, 0, len(a.IPv4Entries))
 	d.bounds = make([]uint32, 0, 2*len(a.IPv4Entries))
+	// Many prefixes share a group; resolve and intern each group once.
+	groupHops := make(map[uint64][]aft.NextHop, len(a.NextHopGroups))
 	for _, e := range a.IPv4Entries {
 		// Validate above guarantees well-formed IPv4 prefixes; parse
 		// defensively anyway so a hostile AFT can never panic the verifier.
@@ -378,7 +381,11 @@ func buildDevice(name string, a *aft.AFT) (*device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verify: device %s: bad prefix %q", name, e.Prefix)
 		}
-		hops := internHops(a.GroupHops(e.NextHopGroup))
+		hops, ok := groupHops[e.NextHopGroup]
+		if !ok {
+			hops = internHops(a.GroupHops(e.NextHopGroup))
+			groupHops[e.NextHopGroup] = hops
+		}
 		entries = append(entries, fibEntry{prefix: intern.String(e.Prefix), hops: hops})
 		d.fib.Insert(p, &entries[len(entries)-1])
 		start := addrU32(p.Addr())
