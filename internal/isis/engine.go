@@ -2,7 +2,8 @@ package isis
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"mfv/internal/obs"
@@ -96,9 +97,19 @@ type circuit struct {
 type Engine struct {
 	cfg      Config
 	circuits map[string]*circuit
+	// ordered lists the circuits by interface name: the one deterministic
+	// order for arming hellos, originating, flooding and SPF.
+	ordered []*circuit
+	// own holds the sorted packed keys (prefixKey) of the IPv4 prefixes
+	// configured on our circuits; SPF never installs routes to them.
+	own []uint64
 	// lsdb maps origin system ID to its most recent LSP.
 	lsdb map[SystemID]*LSP
-	seq  uint32
+	// origins lists the LSDB's origins as sorted packed keys (sysKey), the
+	// node numbering of SPF. The LSDB never shrinks, so the list is rebuilt
+	// only when an origin is added (see originOrder).
+	origins []uint64
+	seq     uint32
 
 	spfScheduled *sim.Event
 	// delivered is the last route set handed to OnRoutes; SPF results equal
@@ -169,29 +180,43 @@ func (e *Engine) AddInterface(cfg InterfaceConfig) {
 	if cfg.Metric == 0 {
 		cfg.Metric = DefaultMetric
 	}
-	e.circuits[cfg.Name] = &circuit{cfg: cfg}
+	c := &circuit{cfg: cfg}
+	i, found := slices.BinarySearchFunc(e.ordered, cfg.Name, func(c *circuit, name string) int {
+		return strings.Compare(c.cfg.Name, name)
+	})
+	if found {
+		e.ordered[i] = c
+	} else {
+		e.ordered = slices.Insert(e.ordered, i, c)
+	}
+	e.circuits[cfg.Name] = c
+	e.own = e.own[:0]
+	for _, c := range e.ordered {
+		for _, p := range c.cfg.Prefixes {
+			if p.Addr().Is4() {
+				e.own = append(e.own, prefixKey(p.Masked()))
+			}
+		}
+	}
+	slices.Sort(e.own)
+	e.own = slices.Compact(e.own)
 }
 
 // Start originates the initial LSP and begins hello transmission on all
 // circuits whose transport is already attached.
 func (e *Engine) Start() {
 	e.originate()
-	// Sorted iteration: hello timers must be armed in a deterministic order
-	// so same-seed runs interleave identically.
-	names := make([]string, 0, len(e.circuits))
-	for name := range e.circuits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e.startHellos(e.circuits[name])
+	// Hello timers are armed in interface order so same-seed runs
+	// interleave identically.
+	for _, c := range e.ordered {
+		e.startHellos(c)
 	}
 	e.refresh = e.cfg.Clock.NewTicker(defaultLSPRefresh, func() { e.originate() })
 }
 
 // Stop cancels all timers.
 func (e *Engine) Stop() {
-	for _, c := range e.circuits {
+	for _, c := range e.ordered {
 		if c.hello != nil {
 			c.hello.Stop()
 		}
@@ -394,13 +419,7 @@ func (e *Engine) originate() {
 		Seq:      e.seq,
 		Hostname: e.cfg.Hostname,
 	}
-	names := make([]string, 0, len(e.circuits))
-	for name := range e.circuits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := e.circuits[name]
+	for _, c := range e.ordered {
 		if c.state == adjUp {
 			lsp.Neighbors = append(lsp.Neighbors, Neighbor{ID: c.nbr, Metric: c.cfg.Metric})
 		}
@@ -415,14 +434,8 @@ func (e *Engine) originate() {
 
 func (e *Engine) floodExcept(lsp *LSP, skip *circuit) {
 	data := EncodeLSP(*lsp)
-	names := make([]string, 0, len(e.circuits))
-	for name := range e.circuits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	flooded := 0
-	for _, name := range names {
-		c := e.circuits[name]
+	for _, c := range e.ordered {
 		if c == skip || c.send == nil || c.cfg.Passive || c.state != adjUp {
 			continue
 		}
@@ -438,15 +451,27 @@ func (e *Engine) floodExcept(lsp *LSP, skip *circuit) {
 	}
 }
 
+// lsdbSorted returns the LSDB in origin system-ID order.
 func (e *Engine) lsdbSorted() []*LSP {
-	out := make([]*LSP, 0, len(e.lsdb))
-	for _, lsp := range e.lsdb {
-		out = append(out, lsp)
+	origins := e.originOrder()
+	out := make([]*LSP, len(origins))
+	for i, k := range origins {
+		out[i] = e.lsdb[sysIDFromKey(k)]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i].Origin[:]) < string(out[j].Origin[:])
-	})
 	return out
+}
+
+// originOrder returns the LSDB origins as sorted packed keys. Origins are
+// only ever added, so a length mismatch means the list is stale.
+func (e *Engine) originOrder() []uint64 {
+	if len(e.origins) != len(e.lsdb) {
+		e.origins = e.origins[:0]
+		for id := range e.lsdb {
+			e.origins = append(e.origins, sysKey(id))
+		}
+		slices.Sort(e.origins)
+	}
+	return e.origins
 }
 
 // LSDB returns a snapshot of the database for CLI-style inspection.
@@ -469,17 +494,11 @@ type Adjacency struct {
 // Adjacencies lists non-passive circuits and their state.
 func (e *Engine) Adjacencies() []Adjacency {
 	var out []Adjacency
-	names := make([]string, 0, len(e.circuits))
-	for name := range e.circuits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := e.circuits[name]
+	for _, c := range e.ordered {
 		if c.cfg.Passive {
 			continue
 		}
-		out = append(out, Adjacency{Interface: name, Neighbor: c.nbr, Up: c.state == adjUp})
+		out = append(out, Adjacency{Interface: c.cfg.Name, Neighbor: c.nbr, Up: c.state == adjUp})
 	}
 	return out
 }
@@ -492,205 +511,4 @@ func (e *Engine) scheduleSPF() {
 		e.spfScheduled = nil
 		e.RunSPF()
 	})
-}
-
-// RunSPF computes shortest paths over the LSDB and delivers routes. It is
-// exported for tests and for forced recomputation.
-func (e *Engine) RunSPF() {
-	e.SPFRuns++
-	e.cSPFRuns.Inc()
-	var spfStart time.Time
-	if e.obs != nil {
-		spfStart = time.Now()
-		defer func() { e.hSPFNanos.Observe(time.Since(spfStart).Nanoseconds()) }()
-	}
-	self := e.cfg.SystemID
-
-	// Build the adjacency-verified graph: an edge A->B counts only if B
-	// also reports A (two-way connectivity check).
-	reports := func(from, to SystemID) (uint32, bool) {
-		lsp, ok := e.lsdb[from]
-		if !ok {
-			return 0, false
-		}
-		for _, n := range lsp.Neighbors {
-			if n.ID == to {
-				return n.Metric, true
-			}
-		}
-		return 0, false
-	}
-
-	type nodeDist struct {
-		id   SystemID
-		dist uint32
-	}
-	dist := map[SystemID]uint32{self: 0}
-	// firstHops maps a node to the set of local next hops reaching it.
-	firstHops := map[SystemID][]NextHop{}
-	visited := map[SystemID]bool{}
-
-	// Local adjacencies seed the frontier.
-	localHop := map[SystemID][]NextHop{}
-	names := make([]string, 0, len(e.circuits))
-	for name := range e.circuits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := e.circuits[name]
-		if c.state == adjUp {
-			localHop[c.nbr] = append(localHop[c.nbr], NextHop{IP: c.nbrIP, Interface: name})
-		}
-	}
-
-	for {
-		// Extract-min over unvisited nodes (the LSDB is small enough that a
-		// linear scan keeps the code simple; scale tests confirm this is
-		// not the bottleneck).
-		var cur nodeDist
-		found := false
-		for id, d := range dist {
-			if visited[id] {
-				continue
-			}
-			if !found || d < cur.dist || (d == cur.dist && string(id[:]) < string(cur.id[:])) {
-				cur = nodeDist{id, d}
-				found = true
-			}
-		}
-		if !found {
-			break
-		}
-		visited[cur.id] = true
-
-		lsp, ok := e.lsdb[cur.id]
-		if !ok {
-			continue
-		}
-		for _, n := range lsp.Neighbors {
-			// Two-way check.
-			if _, ok := reports(n.ID, cur.id); !ok {
-				continue
-			}
-			nd := cur.dist + n.Metric
-			old, seen := dist[n.ID]
-			if !seen || nd < old {
-				dist[n.ID] = nd
-				if cur.id == self {
-					firstHops[n.ID] = append([]NextHop{}, localHop[n.ID]...)
-				} else {
-					firstHops[n.ID] = append([]NextHop{}, firstHops[cur.id]...)
-				}
-			} else if seen && nd == old {
-				// Equal cost: merge first hops.
-				var add []NextHop
-				if cur.id == self {
-					add = localHop[n.ID]
-				} else {
-					add = firstHops[cur.id]
-				}
-				firstHops[n.ID] = mergeHops(firstHops[n.ID], add)
-			}
-		}
-	}
-
-	// Collect prefix routes.
-	bestByPrefix := map[netip.Prefix]*Route{}
-	for id, lsp := range e.lsdb {
-		if id == self {
-			continue
-		}
-		d, reachable := dist[id]
-		if !reachable {
-			continue
-		}
-		hops := firstHops[id]
-		if len(hops) == 0 {
-			continue
-		}
-		for _, pr := range lsp.Prefixes {
-			total := d + pr.Metric
-			have, ok := bestByPrefix[pr.Prefix]
-			switch {
-			case !ok || total < have.Metric:
-				bestByPrefix[pr.Prefix] = &Route{
-					Prefix:   pr.Prefix,
-					Metric:   total,
-					NextHops: append([]NextHop{}, hops...),
-				}
-			case total == have.Metric:
-				have.NextHops = mergeHops(have.NextHops, hops)
-			}
-		}
-	}
-	// Drop prefixes we also advertise locally (connected beats IGP anyway,
-	// and real IS-IS does not install routes to its own prefixes).
-	for _, c := range e.circuits {
-		for _, p := range c.cfg.Prefixes {
-			delete(bestByPrefix, p.Masked())
-		}
-	}
-
-	routes := make([]Route, 0, len(bestByPrefix))
-	for _, r := range bestByPrefix {
-		sort.Slice(r.NextHops, func(i, j int) bool {
-			if r.NextHops[i].IP != r.NextHops[j].IP {
-				return r.NextHops[i].IP.Less(r.NextHops[j].IP)
-			}
-			return r.NextHops[i].Interface < r.NextHops[j].Interface
-		})
-		routes = append(routes, *r)
-	}
-	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].Prefix.Addr() != routes[j].Prefix.Addr() {
-			return routes[i].Prefix.Addr().Less(routes[j].Prefix.Addr())
-		}
-		return routes[i].Prefix.Bits() < routes[j].Prefix.Bits()
-	})
-	if e.cfg.OnRoutes != nil && !(e.hasDelivered && routesEqual(e.delivered, routes)) {
-		// Deliver only on change: an SPF whose result matches the last
-		// delivery (LSP refresh waves, redundant floods) must not rewrite
-		// the RIB — a rewrite bumps the FIB generation and reads as routing
-		// activity to convergence detection.
-		e.delivered = routes
-		e.hasDelivered = true
-		e.cfg.OnRoutes(routes)
-	}
-}
-
-// routesEqual compares two canonically sorted SPF results.
-func routesEqual(a, b []Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Prefix != b[i].Prefix || a[i].Metric != b[i].Metric ||
-			len(a[i].NextHops) != len(b[i].NextHops) {
-			return false
-		}
-		for j := range a[i].NextHops {
-			if a[i].NextHops[j] != b[i].NextHops[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func mergeHops(a, b []NextHop) []NextHop {
-	out := append([]NextHop{}, a...)
-	for _, h := range b {
-		dup := false
-		for _, have := range out {
-			if have == h {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, h)
-		}
-	}
-	return out
 }

@@ -384,12 +384,17 @@ func TestDetachBeforeStartIsSafe(t *testing.T) {
 	n.s.RunFor(time.Second)
 }
 
-func BenchmarkSPFGrid(b *testing.B) {
-	// 10x10 grid LSDB built synthetically, SPF from one corner.
+// gridEngine returns an engine whose LSDB is a synthetic 10x10 grid with
+// one /24 per router; the engine is the corner router, with one circuit
+// toward each of its two grid neighbours, down.
+func gridEngine() *Engine {
 	n := newNet()
 	e := n.add("r0", 1)
-	e.AddInterface(InterfaceConfig{Name: "Ethernet1", Addr: addr("10.0.0.1")})
 	id := func(r, c int) SystemID { return sysID(r*10 + c + 1) }
+	e.AddInterface(InterfaceConfig{Name: "Ethernet1", Addr: addr("10.255.0.1")})
+	e.AddInterface(InterfaceConfig{Name: "Ethernet2", Addr: addr("10.255.1.1")})
+	e.circuits["Ethernet1"].nbr, e.circuits["Ethernet1"].nbrIP = id(1, 0), addr("10.255.0.2")
+	e.circuits["Ethernet2"].nbr, e.circuits["Ethernet2"].nbrIP = id(0, 1), addr("10.255.1.2")
 	for r := 0; r < 10; r++ {
 		for c := 0; c < 10; c++ {
 			lsp := LSP{Origin: id(r, c), Seq: 1}
@@ -408,6 +413,31 @@ func BenchmarkSPFGrid(b *testing.B) {
 			lsp.Prefixes = []PrefixReach{{Prefix: pfx(fmt.Sprintf("10.%d.%d.0/24", r, c))}}
 			e.lsdb[lsp.Origin] = &lsp
 		}
+	}
+	return e
+}
+
+// BenchmarkSPFGrid runs SPF from a grid corner whose adjacencies are down:
+// the Dijkstra walk runs, but no route is built.
+func BenchmarkSPFGrid(b *testing.B) {
+	e := gridEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunSPF()
+	}
+}
+
+// BenchmarkSPFRoutes runs SPF from a grid corner with both adjacencies up,
+// so every one of the 99 remote /24s gets a route (most with two ECMP
+// legs). The result repeats run to run, as in a settled network.
+func BenchmarkSPFRoutes(b *testing.B) {
+	e := gridEngine()
+	e.circuits["Ethernet1"].state = adjUp
+	e.circuits["Ethernet2"].state = adjUp
+	e.RunSPF()
+	if len(e.delivered) != 99 {
+		b.Fatalf("routes = %d, want 99", len(e.delivered))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

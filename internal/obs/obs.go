@@ -54,7 +54,8 @@ const (
 	// EvLSPFlood: an LSP was flooded (Device, Value=circuits reached).
 	EvLSPFlood = "lsp_flood"
 	// EvRouteChurn: a router's dataplane-relevant state settled after a
-	// change (Device, Value=RIB version).
+	// change (Device, Value=RIB version: the number of effective
+	// elected-route changes the router's RIB has seen).
 	EvRouteChurn = "route_churn"
 	// EvCrash: a routing process crashed (Device).
 	EvCrash = "bgp_crash"

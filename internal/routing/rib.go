@@ -118,29 +118,6 @@ func (r *RIB) Withdraw(prefix netip.Prefix, proto Protocol) bool {
 	return changed
 }
 
-// WithdrawAll removes every candidate installed by proto, returning the
-// number of prefixes whose elected route changed. Protocols use it on
-// shutdown or full recomputation.
-func (r *RIB) WithdrawAll(proto Protocol) int {
-	var prefixes []netip.Prefix
-	r.trie.Walk(func(p netip.Prefix, e *ribEntry) bool {
-		for _, c := range e.candidates {
-			if c.Protocol == proto {
-				prefixes = append(prefixes, p)
-				break
-			}
-		}
-		return true
-	})
-	changed := 0
-	for _, p := range prefixes {
-		if r.Withdraw(p, proto) {
-			changed++
-		}
-	}
-	return changed
-}
-
 func (r *RIB) reelect(prefix netip.Prefix, e *ribEntry) bool {
 	var best *Route
 	for i := range e.candidates {

@@ -127,23 +127,6 @@ func TestRIBOnChangeAndVersion(t *testing.T) {
 	}
 }
 
-func TestRIBWithdrawAll(t *testing.T) {
-	r := NewRIB()
-	r.Install(route("10.0.0.0/8", ProtoISIS, 5, nh("192.0.2.1")))
-	r.Install(route("10.1.0.0/16", ProtoISIS, 5, nh("192.0.2.1")))
-	r.Install(route("10.1.0.0/16", ProtoEBGP, 0, nh("192.0.2.2")))
-	if n := r.WithdrawAll(ProtoISIS); n != 1 {
-		// 10.0.0.0/8 election changes (to none); 10.1.0.0/16 stays eBGP.
-		t.Errorf("WithdrawAll changed %d elections, want 1", n)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
-	}
-	if _, ok := r.Get(mustPrefix("10.0.0.0/8")); ok {
-		t.Error("withdrawn prefix still elected")
-	}
-}
-
 func TestRIBDropRoute(t *testing.T) {
 	r := NewRIB()
 	drop := Route{Prefix: mustPrefix("10.0.0.0/8"), Protocol: ProtoStatic, Distance: 1, Drop: true}

@@ -12,6 +12,7 @@ package vrouter
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -117,6 +118,10 @@ type Router struct {
 	// itself (hostile input or an escaped handler panic); the orchestrator
 	// uses it to mark the pod contained without rescheduling it.
 	OnQuarantine func(reason string)
+
+	// isisRoutes is the route set IS-IS last delivered, exactly as
+	// installed in the RIB; the engine never mutates a delivered set.
+	isisRoutes []isis.Route
 
 	ribDirty    *sim.Event
 	crashed     bool
@@ -301,21 +306,65 @@ func (r *Router) buildISIS() error {
 	return nil
 }
 
+// installISISRoutes moves the RIB's IS-IS candidates from the previous
+// delivery to routes. Both sets are sorted by (address, length), so one
+// merge walk withdraws prefixes that left, installs new or changed routes
+// and leaves equal ones alone: the RIB version moves only for elected
+// routes that really changed.
 func (r *Router) installISISRoutes(routes []isis.Route) {
-	r.rib.WithdrawAll(routing.ProtoISIS)
-	for _, rt := range routes {
-		hops := make([]routing.NextHop, len(rt.NextHops))
-		for i, h := range rt.NextHops {
-			hops[i] = routing.NextHop{IP: h.IP, Interface: h.Interface}
+	prev := r.isisRoutes
+	r.isisRoutes = routes
+	for len(prev) > 0 || len(routes) > 0 {
+		var c int
+		switch {
+		case len(prev) == 0:
+			c = 1
+		case len(routes) == 0:
+			c = -1
+		default:
+			c = comparePrefix(prev[0].Prefix, routes[0].Prefix)
 		}
-		r.rib.Install(routing.Route{
-			Prefix:   rt.Prefix,
-			Protocol: routing.ProtoISIS,
-			Distance: routing.ProtoISIS.DefaultDistance(),
-			Metric:   rt.Metric,
-			NextHops: hops,
-		})
+		switch {
+		case c < 0:
+			r.rib.Withdraw(prev[0].Prefix, routing.ProtoISIS)
+			prev = prev[1:]
+		case c > 0:
+			r.installISISRoute(routes[0])
+			routes = routes[1:]
+		default:
+			if !sameISISRoute(prev[0], routes[0]) {
+				r.installISISRoute(routes[0])
+			}
+			prev, routes = prev[1:], routes[1:]
+		}
 	}
+}
+
+func (r *Router) installISISRoute(rt isis.Route) {
+	hops := make([]routing.NextHop, len(rt.NextHops))
+	for i, h := range rt.NextHops {
+		hops[i] = routing.NextHop{IP: h.IP, Interface: h.Interface}
+	}
+	r.rib.Install(routing.Route{
+		Prefix:   rt.Prefix,
+		Protocol: routing.ProtoISIS,
+		Distance: routing.ProtoISIS.DefaultDistance(),
+		Metric:   rt.Metric,
+		NextHops: hops,
+	})
+}
+
+// comparePrefix orders prefixes by address, then length: the order IS-IS
+// delivers routes in.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
+func sameISISRoute(a, b isis.Route) bool {
+	return a.Metric == b.Metric && slices.Equal(a.NextHops, b.NextHops)
 }
 
 func (r *Router) buildBGP() error {

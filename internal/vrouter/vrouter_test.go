@@ -1,13 +1,16 @@
 package vrouter
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"mfv/internal/bgp"
 	"mfv/internal/config/eos"
+	"mfv/internal/isis"
 	"mfv/internal/policy"
 	"mfv/internal/routing"
 	"mfv/internal/sim"
@@ -291,4 +294,88 @@ func TestAttachLinkUnconfiguredInterface(t *testing.T) {
 	r.DetachLink("Ethernet9")
 	r.DetachLink("Ethernet10") // unknown: no-op
 	r.HandleLinkFrame("Ethernet10", []byte{1, 2, 3})
+}
+
+// TestISISDeltaInstall feeds successive IS-IS route sets that add, remove,
+// re-metric, re-hop and repeat prefixes, some of them shadowed by connected
+// or static routes. After each delivery the RIB must equal a fresh RIB given
+// only that set, and its version must move once per prefix whose elected
+// route changed.
+func TestISISDeltaInstall(t *testing.T) {
+	r, s := build(t, baseCfg)
+	r.Start()
+	s.RunFor(time.Second)
+
+	pool := []netip.Prefix{
+		pfx("0.0.0.0/0"),   // shadowed by the static default
+		pfx("10.0.0.0/31"), // shadowed by connected
+		pfx("10.1.0.0/16"), pfx("10.1.0.0/24"), pfx("10.1.1.0/24"),
+		pfx("10.2.0.0/24"), pfx("10.3.0.0/24"), pfx("172.16.0.1/32"),
+		pfx("172.16.0.2/32"), pfx("192.168.0.0/24"),
+	}
+	hops := []isis.NextHop{
+		{IP: addr("10.0.0.1"), Interface: "Ethernet1"},
+		{IP: addr("10.0.0.1"), Interface: "Ethernet2"},
+		{IP: addr("10.0.0.3"), Interface: "Ethernet1"},
+	}
+	rng := rand.New(rand.NewSource(3))
+	randomSet := func() []isis.Route {
+		var out []isis.Route
+		for _, p := range pool { // pool is in (address, length) order
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			rt := isis.Route{Prefix: p, Metric: uint32(10 * (1 + rng.Intn(2)))}
+			for _, h := range hops {
+				if rng.Intn(2) == 0 {
+					rt.NextHops = append(rt.NextHops, h)
+				}
+			}
+			if len(rt.NextHops) == 0 {
+				rt.NextHops = hops[:1]
+			}
+			out = append(out, rt)
+		}
+		return out
+	}
+	elected := func(rib *routing.RIB) map[netip.Prefix]routing.Route {
+		m := map[netip.Prefix]routing.Route{}
+		for _, rt := range rib.Routes() {
+			m[rt.Prefix] = rt
+		}
+		return m
+	}
+
+	var set []isis.Route
+	for step := 0; step < 200; step++ {
+		if step%5 != 4 { // every fifth delivery repeats the previous set
+			set = randomSet()
+		}
+		before, v0 := elected(r.RIB()), r.RIB().Version()
+		r.installISISRoutes(set)
+		after := elected(r.RIB())
+		changed := 0
+		for p, rt := range after {
+			if old, ok := before[p]; !ok || !old.Equal(rt) {
+				changed++
+			}
+		}
+		for p := range before {
+			if _, ok := after[p]; !ok {
+				changed++
+			}
+		}
+		if got := r.RIB().Version() - v0; got != uint64(changed) {
+			t.Fatalf("step %d: version moved %d, want %d (elected-route changes)", step, got, changed)
+		}
+
+		fresh, fs := build(t, baseCfg)
+		fresh.Start()
+		fs.RunFor(time.Second)
+		fresh.installISISRoutes(set)
+		got, want := r.RIB().Routes(), fresh.RIB().Routes()
+		if !slices.EqualFunc(got, want, routing.Route.Equal) {
+			t.Fatalf("step %d: RIB after delta install\n%v\nfresh RIB\n%v", step, got, want)
+		}
+	}
 }
